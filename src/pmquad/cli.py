@@ -4,13 +4,14 @@ Subcommands: constants, moments, second-moment, simulate-cost, profile,
 simulate-limit, experiment, diagnostics.  Global flags (before the
 subcommand): --seed, --threads, --out, --format, --config.
 
-Exit codes: 0 success, 2 invalid arguments, 3 cap exceeded, 4 acceptance
-check failed (experiment --check).
+Exit codes: 0 success, 1 stdout closed early (e.g. by `head`; no traceback),
+2 invalid arguments, 3 cap exceeded, 4 acceptance check failed (--check).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -30,6 +31,7 @@ from .moments import make_grid, psi_moments, second_moment_iterates, xi_perp_mom
 from .specfun import constants
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_CHECK_FAILED = 4
@@ -137,10 +139,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv) -> list:
     """Config supplies defaults as `--key value` pairs prepended to argv."""
-    if "--config" not in argv:
+    paths = [b for a, b in zip(argv, argv[1:]) if a == "--config"]
+    paths += [a.split("=", 1)[1] for a in argv if a.startswith("--config=")]
+    if not paths:
         return list(argv)
-    idx = argv.index("--config")
-    cfg = _read_config(argv[idx + 1])
+    cfg = _read_config(paths[0])
     injected = []
     for k, v in cfg.items():
         injected.extend([f"--{k.replace('_', '-')}", v])
@@ -179,8 +182,7 @@ def _cmd_simulate_cost(args) -> Table:
         if args.tree == "quad":
             value = quadtree.line_cost(xs, ys, s)
         else:
-            axis = kdtree.VERTICAL if args.root_axis == "v" else kdtree.HORIZONTAL
-            value = kdtree.line_cost(xs, ys, s, axis)
+            value = kdtree.line_cost(xs, ys, s, args.root_axis)
         rows.append((r, value))
     meta = {"seed": args.seed, "tree": args.tree, "generator": "pcg64"}
     return Table(columns=["replication", "cost"], rows=rows, meta=meta)
@@ -192,8 +194,7 @@ def _cmd_profile(args) -> Table:
     if args.tree == "quad":
         prof = quadtree.profile(quadtree.build(pts))
     else:
-        axis = kdtree.VERTICAL if args.root_axis == "v" else kdtree.HORIZONTAL
-        prof = kdtree.kd_profile(kdtree.build_kd(pts, axis))
+        prof = kdtree.kd_profile(kdtree.build_kd(pts, args.root_axis))
     rows = list(zip(prof.breakpoints, prof.values))
     return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed})
 
@@ -288,7 +289,13 @@ def main(argv=None) -> int:
 
     emit = emit_csv if args.format == "csv" else emit_plot_data
     if args.out == "-":
-        emit(table, sys.stdout)
+        try:
+            emit(table, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left: the rest, and the flush at exit, go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             emit(table, fh)

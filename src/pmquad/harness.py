@@ -545,8 +545,8 @@ def _validate(spec: ExperimentSpec) -> None:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
     if spec.replications < 1:
         raise ValueError("replications must be >= 1")
-    if spec.kind == "limit-moments" and spec.depth > 24:
-        raise CapExceededError(f"depth {spec.depth} exceeds cap 24")
+    if spec.kind == "limit-moments" and spec.depth > limitproc._MAX_POINTWISE_DEPTH:
+        raise CapExceededError(f"depth {spec.depth} exceeds cap {limitproc._MAX_POINTWISE_DEPTH}")
     for n in spec.sizes:
         if n < 0:
             raise ValueError(f"sizes must be >= 0, got {n}")

@@ -9,10 +9,9 @@ identities directly checkable on real trees.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
-from .errors import AxisMismatchError, DuplicateCoordinateError
+from .errors import AxisMismatchError
 from .geom import Cell, Point2, StepProfile
+from .quadtree import _KD_H, _KD_V, _check_general_position, _check_query, _slice_cost, profile
 
 __all__ = [
     "VERTICAL",
@@ -82,14 +81,7 @@ def build_kd(points, root_axis: str = VERTICAL) -> KdTree:
     if root_axis not in (VERTICAL, HORIZONTAL):
         raise ValueError(f"root_axis must be 'v' or 'h', got {root_axis!r}")
     points = list(points)
-    seen_x, seen_y = set(), set()
-    for p in points:
-        if p.x in seen_x or p.y in seen_y:
-            raise DuplicateCoordinateError(
-                f"point {p.index} repeats a coordinate; inputs must be in general position"
-            )
-        seen_x.add(p.x)
-        seen_y.add(p.y)
+    _check_general_position(points)
     root = None
     for p in points:
         if root is None:
@@ -108,11 +100,6 @@ def build_kd(points, root_axis: str = VERTICAL) -> KdTree:
                 break
             node = child
     return KdTree(root, len(points), root_axis)
-
-
-def _check_query(s: float) -> None:
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"query position must lie in [0, 1], got {s!r}")
 
 
 def _search_count(node, s: float) -> int:
@@ -154,11 +141,7 @@ def cost_perp(tree: KdTree, s: float) -> int:
 
 def kd_profile(tree: KdTree) -> StepProfile:
     """Exact step function of the cost; breakpoints only at vertical split x's."""
-    events = []
-    for node in tree.nodes():
-        events.append((node.cell.x0, +1))
-        events.append((node.cell.x1, -1))
-    return StepProfile.from_events(events)
+    return profile(tree)
 
 
 def kd_supremum(tree: KdTree):
@@ -190,37 +173,12 @@ def vertical_decomposition_check(tree: KdTree, s: float) -> bool:
 def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:
     """cost of the 2-d tree on the point sequence at x = s, without nodes.
 
-    Same crossing-slice bookkeeping as the quadtree version, except each
-    slice carries the axis its next split will use: a vertical split narrows
-    the slice's x-extent, a horizontal split divides the slice in y.
+    The quadtree's crossing-slice kernel under the 2-d tree rule: a vertical
+    split narrows the slice's x-extent, a horizontal split divides it in y.
+    Coordinates are checked as in ``quadtree.line_cost``.
     """
     _check_query(s)
     if root_axis not in (VERTICAL, HORIZONTAL):
         raise ValueError(f"root_axis must be 'v' or 'h', got {root_axis!r}")
-    xs = xs.tolist() if hasattr(xs, "tolist") else list(xs)
-    ys = ys.tolist() if hasattr(ys, "tolist") else list(ys)
-    vertical_next = root_axis == VERTICAL
-    yb = [0.0]
-    lo = [0.0]
-    hi = [1.0]
-    vert = [vertical_next]
-    count = 0
-    for x, y in zip(xs, ys):
-        i = bisect_right(yb, y) - 1
-        a = lo[i]
-        b = hi[i]
-        if a <= x and (x < b or x == b == 1.0):
-            count += 1
-            if vert[i]:
-                if s < x:
-                    hi[i] = x
-                else:
-                    lo[i] = x
-                vert[i] = False
-            else:
-                vert[i] = True
-                yb.insert(i + 1, y)
-                lo.insert(i + 1, lo[i])
-                hi.insert(i + 1, hi[i])
-                vert.insert(i + 1, True)
-    return count
+    rule = _KD_V if root_axis == VERTICAL else _KD_H
+    return _slice_cost(xs, ys, s, 0.0, 1.0, rule)

@@ -5,7 +5,9 @@ tree nodes whose cell meets the line, which is also the number of nodes
 visited by the recursive search and the number of horizontal split segments
 crossing the line (the latter two are kept as independently coded oracles).
 ``line_cost`` computes the same count straight from a point sequence without
-materializing nodes, which is what makes desk-scale Monte Carlo cheap.
+materializing nodes, which is what makes desk-scale Monte Carlo cheap.  It
+shares one kernel with ``kdtree.line_cost``; a vectorized block filter lets
+the exact per-point update skip the many points that cannot cross.
 """
 
 from __future__ import annotations
@@ -192,19 +194,7 @@ def subtree_sizes(tree: QuadTree):
     """Node counts of the four root subtrees (BL, TL, BR, TR); they sum to n - 1."""
     if tree.root is None:
         raise ValueError("subtree_sizes needs a nonempty tree")
-
-    def count(node):
-        if node is None:
-            return 0
-        total = 0
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            total += 1
-            stack.extend(c for c in cur.children if c is not None)
-        return total
-
-    return tuple(count(child) for child in tree.root.children)
+    return tuple(sum(1 for _ in QuadTree(child, None).nodes()) for child in tree.root.children)
 
 
 def sample_poisson_xy(t: float, rng) -> tuple:
@@ -222,39 +212,83 @@ def sample_poisson_tree(t: float, rng) -> QuadTree:
     return build(pts)
 
 
+# A crossing slice carries the rule of its next split: quad narrows the
+# slice's x-extent and splits it in y; a 2-d tree does one, then the other.
+_QUAD, _KD_V, _KD_H = 0, 1, 2
+_AFTER = (_QUAD, _KD_H, _KD_V)  # a slice's rule once it has been crossed
+SEQ = 256  # points updated one by one before the block filter starts
+
+
+def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
+    """Crossings of x = s by the tree on the points (xs, ys) in arrival order.
+
+    Keeps the leaf cells crossing the line as slices that tile [0, 1] in y,
+    each with its x-extent and next split rule; a point inside a slice is a
+    crossing node and splits it.  Slices only shrink as points arrive, so
+    after ``SEQ`` points each block [m, 2m) is first tested in one pass
+    against a hull of the slices as they stood at m.  That test passes every
+    crossing, and only the points that pass get the exact update.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"coordinates must be 1-d of equal length, got {xs.shape}, {ys.shape}")
+    n = xs.size
+    if n > SEQ and not (0.0 <= ys.min() and ys.max() <= 1.0):
+        raise ValueError("y-coordinates must lie in [0, 1]")
+    yb = [0.0]  # slice i spans [yb[i], yb[i+1]) in y, the last one up to 1
+    lo = [x_lo]
+    hi = [x_hi]
+    rules = [rule]
+    count = 0
+    stop = min(n, SEQ)
+    px, py = xs[:stop].tolist(), ys[:stop].tolist()
+    while True:
+        for x, y in zip(px, py):
+            i = bisect_right(yb, y) - 1
+            b = hi[i]
+            if lo[i] <= x and (x < b or x == b == x_hi == 1.0):
+                count += 1
+                r = rules[i]
+                nxt = rules[i] = _AFTER[r]
+                if r != _KD_H:
+                    if s < x:
+                        hi[i] = x
+                    else:
+                        lo[i] = x
+                if r != _KD_V:
+                    yb.insert(i + 1, y)
+                    lo.insert(i + 1, lo[i])
+                    hi.insert(i + 1, hi[i])
+                    rules.insert(i + 1, nxt)
+        if stop == n:
+            return count
+        start, stop = stop, min(n, 2 * stop)
+        bx, by = xs[start:stop], ys[start:stop]
+        # The hull: g cells of [0, 1] (g a power of two, so y is in cell
+        # floor(y g) exactly), each with the closed x-hull of the slices
+        # first[j] .. first[j + 1] meeting it; x == hi == x_hi == 1.0 passes.
+        g = 2 << len(yb).bit_length()
+        first = np.searchsorted(yb, np.arange(g + 1) / g, side="right") - 1
+        lo_a, hi_a = np.array(lo), np.array(hi)
+        lo_g = np.minimum(np.minimum.reduceat(lo_a, first[:-1]), lo_a[first[1:]])
+        hi_g = np.maximum(np.maximum.reduceat(hi_a, first[:-1]), hi_a[first[1:]])
+        cell = (by * g).astype(np.intp)  # y == 1 gives g, clipped to the top cell
+        keep = (lo_g.take(cell, mode="clip") <= bx) & (bx <= hi_g.take(cell, mode="clip"))
+        px, py = bx[keep].tolist(), by[keep].tolist()
+
+
 def line_cost(xs, ys, s: float, x_lo: float = 0.0, x_hi: float = 1.0) -> int:
     """cost(build(points), s) computed without building nodes.
 
-    Maintains the stack of leaf cells crossing the line (they always tile
-    [0, 1] in y, each carrying its x-extent): a point landing inside one is a
-    crossing node and splits its slice; all other points are irrelevant to
-    the count.  The root box is [x_lo, x_hi] x [0, 1], so the same routine
-    also serves the extended-box coupling.
+    The root box is [x_lo, x_hi] x [0, 1], so the same routine also serves
+    the extended-box coupling.  Coordinates must be 1-d and of equal length;
+    beyond ``SEQ`` points, y-coordinates outside [0, 1] raise ValueError.
     """
     _check_query(s)
     if not x_lo <= s <= x_hi:
         raise ValueError("query line must lie inside the root box")
-    xs = xs.tolist() if hasattr(xs, "tolist") else list(xs)
-    ys = ys.tolist() if hasattr(ys, "tolist") else list(ys)
-    yb = [0.0]  # slice i spans [yb[i], yb[i+1]) in y, the last one up to 1
-    lo = [x_lo]
-    hi = [x_hi]
-    count = 0
-    ins = yb.insert
-    for x, y in zip(xs, ys):
-        i = bisect_right(yb, y) - 1
-        a = lo[i]
-        b = hi[i]
-        if a <= x and (x < b or x == b == x_hi == 1.0):
-            count += 1
-            if s < x:
-                hi[i] = x
-            else:
-                lo[i] = x
-            ins(i + 1, y)
-            lo.insert(i + 1, lo[i])
-            hi.insert(i + 1, hi[i])
-    return count
+    return _slice_cost(xs, ys, s, x_lo, x_hi, _QUAD)
 
 
 def sample_extension_xy(t: float, eps: float, rng) -> tuple:
@@ -282,7 +316,6 @@ def coupled_extension_cost(xs, ys, eps: float, s: float):
     """
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    _check_query(s)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     extended = line_cost(xs, ys, s, x_lo=-eps)

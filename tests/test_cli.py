@@ -169,6 +169,15 @@ class TestConfigFile:
         _, out3, _ = run_cli(args + ["--seed", "10"], capsys)
         assert out3 != out1
 
+    def test_config_equals_form(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 9\n")
+        tail = ["simulate-cost", "--n", "60", "--replications", "3"]
+        _, out1, _ = run_cli([f"--config={cfg}"] + tail, capsys)
+        _, out2, _ = run_cli(["--seed", "9"] + tail, capsys)
+        _, out0, _ = run_cli(tail, capsys)
+        assert out1 == out2 != out0
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("seed 9\n")
@@ -193,6 +202,21 @@ class TestOutputFiles:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,value")
+
+    def test_closed_stdout_exits_quietly(self):
+        # the reader stops after two lines, long before the output ends
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pmquad.cli", "simulate-cost", "--n", "2",
+             "--replications", "40000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head[0].startswith(b"#")
+        assert err == b""
 
 
 class TestThreadIndependence:

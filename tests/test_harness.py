@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from pmquad import limitproc
 from pmquad.errors import CapExceededError
 from pmquad.harness import (
     ExperimentSpec,
@@ -118,6 +119,16 @@ class TestRunExperiment:
     def test_depth_cap(self):
         with pytest.raises(CapExceededError):
             run_experiment(ExperimentSpec(kind="limit-moments", depth=30))
+
+    def test_depth_cap_is_limitproc_constant(self, monkeypatch):
+        # the spec is refused before any expansion starts
+        def expand(*args, **kwargs):
+            raise AssertionError("simulate_many ran past the cap")
+
+        monkeypatch.setattr(limitproc, "_MAX_POINTWISE_DEPTH", 5)
+        monkeypatch.setattr(limitproc, "simulate_many", expand)
+        with pytest.raises(CapExceededError, match="depth 6 exceeds cap 5"):
+            run_experiment(ExperimentSpec(kind="limit-moments", depth=6))
 
     def test_mean_profile_columns(self):
         spec = ExperimentSpec(

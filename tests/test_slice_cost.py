@@ -1,0 +1,156 @@
+"""The block-filtered slice kernel against the two sequential loops it replaced.
+
+``reference_quad`` and ``reference_kd`` are the per-point loops of
+``quadtree.line_cost`` and ``kdtree.line_cost`` before they were merged into
+``quadtree._slice_cost``, kept verbatim as the reference oracle.
+"""
+
+from bisect import bisect_right
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmquad import kdtree, quadtree
+from pmquad.quadtree import _KD_H, _KD_V, _QUAD, SEQ, _slice_cost
+
+
+def reference_quad(xs, ys, s, x_lo=0.0, x_hi=1.0):
+    xs = xs.tolist() if hasattr(xs, "tolist") else list(xs)
+    ys = ys.tolist() if hasattr(ys, "tolist") else list(ys)
+    yb = [0.0]  # slice i spans [yb[i], yb[i+1]) in y, the last one up to 1
+    lo = [x_lo]
+    hi = [x_hi]
+    count = 0
+    ins = yb.insert
+    for x, y in zip(xs, ys):
+        i = bisect_right(yb, y) - 1
+        a = lo[i]
+        b = hi[i]
+        if a <= x and (x < b or x == b == x_hi == 1.0):
+            count += 1
+            if s < x:
+                hi[i] = x
+            else:
+                lo[i] = x
+            ins(i + 1, y)
+            lo.insert(i + 1, lo[i])
+            hi.insert(i + 1, hi[i])
+    return count
+
+
+def reference_kd(xs, ys, s, root_axis="v"):
+    xs = xs.tolist() if hasattr(xs, "tolist") else list(xs)
+    ys = ys.tolist() if hasattr(ys, "tolist") else list(ys)
+    vertical_next = root_axis == "v"
+    yb = [0.0]
+    lo = [0.0]
+    hi = [1.0]
+    vert = [vertical_next]
+    count = 0
+    for x, y in zip(xs, ys):
+        i = bisect_right(yb, y) - 1
+        a = lo[i]
+        b = hi[i]
+        if a <= x and (x < b or x == b == 1.0):
+            count += 1
+            if vert[i]:
+                if s < x:
+                    hi[i] = x
+                else:
+                    lo[i] = x
+                vert[i] = False
+            else:
+                vert[i] = True
+                yb.insert(i + 1, y)
+                lo.insert(i + 1, lo[i])
+                hi.insert(i + 1, hi[i])
+                vert.insert(i + 1, True)
+    return count
+
+
+# sizes at and around the sequential prefix and the first block boundaries
+EDGE_SIZES = (0, 1, SEQ - 1, SEQ, SEQ + 1, 2 * SEQ - 1, 2 * SEQ, 2 * SEQ + 1,
+              4 * SEQ - 1, 4 * SEQ, 4 * SEQ + 1, 8 * SEQ + 3)
+
+
+@st.composite
+def instances(draw):
+    """(xs, ys, s, x_lo): points in [x_lo, 1] x [0, 1], some on coarse grids
+    so that ties (x == s, x == 1.0, repeated y) actually occur."""
+    n = draw(st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 12 * SEQ)))
+    x_lo = draw(st.sampled_from((0.0, 0.0, -0.05, -0.5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = x_lo + (1.0 - x_lo) * rng.random(n)
+    ys = rng.random(n)
+    grid = draw(st.sampled_from((0, 4, 16, 1024)))
+    if grid:
+        snap = rng.random(n) < draw(st.sampled_from((0.05, 0.5, 1.0)))
+        xs[snap] = np.round(xs[snap] * grid) / grid
+        ys[snap] = np.round(ys[snap] * grid) / grid
+        xs = np.clip(xs, x_lo, 1.0)
+    ones = rng.random(n) < draw(st.sampled_from((0.0, 0.01, 0.2)))
+    xs[ones] = 1.0
+    s = draw(st.one_of(st.sampled_from((0.0, 1.0, 0.5, 0.25)), st.floats(0.0, 1.0)))
+    return xs, ys, s, x_lo
+
+
+class TestSliceCostMatchesSequentialLoops:
+    @given(instances(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_quad_rule(self, inst, as_list):
+        xs, ys, s, x_lo = inst
+        expect = reference_quad(xs, ys, s, x_lo)
+        if as_list:
+            xs, ys = xs.tolist(), ys.tolist()
+        assert _slice_cost(xs, ys, s, x_lo, 1.0, _QUAD) == expect
+        assert quadtree.line_cost(xs, ys, s, x_lo=x_lo) == expect
+
+    @given(instances(), st.sampled_from(("v", "h")), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_kd_rules(self, inst, axis, as_list):
+        xs, ys, s, _ = inst
+        xs = np.maximum(xs, 0.0)  # the 2-d tree root box is the unit square
+        expect = reference_kd(xs, ys, s, axis)
+        if as_list:
+            xs, ys = xs.tolist(), ys.tolist()
+        rule = _KD_V if axis == "v" else _KD_H
+        assert _slice_cost(xs, ys, s, 0.0, 1.0, rule) == expect
+        assert kdtree.line_cost(xs, ys, s, axis) == expect
+
+    @pytest.mark.parametrize("n", EDGE_SIZES)
+    def test_edge_sizes_all_rules(self, n):
+        rng = np.random.default_rng([2011, n])
+        xs, ys = rng.random(n), rng.random(n)
+        xs[::7] = 1.0
+        for s in (0.0, 0.3, 1.0):
+            assert _slice_cost(xs, ys, s, 0.0, 1.0, _QUAD) == reference_quad(xs, ys, s)
+            assert _slice_cost(xs, ys, s, 0.0, 1.0, _KD_V) == reference_kd(xs, ys, s, "v")
+            assert _slice_cost(xs, ys, s, 0.0, 1.0, _KD_H) == reference_kd(xs, ys, s, "h")
+
+
+class TestCoordinateValidation:
+    @pytest.mark.parametrize("fn", [quadtree.line_cost, kdtree.line_cost])
+    def test_unequal_lengths_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn([0.2, 0.7, 0.4], [0.5], 0.5)
+        with pytest.raises(ValueError):
+            fn(np.full(SEQ + 5, 0.5), np.full(SEQ + 4, 0.5), 0.5)
+
+    @pytest.mark.parametrize("fn", [quadtree.line_cost, kdtree.line_cost])
+    def test_non_1d_rejected(self, fn):
+        with pytest.raises(ValueError):
+            fn(np.full((2, 3), 0.5), np.full((2, 3), 0.5), 0.5)
+        with pytest.raises(ValueError):
+            fn(0.5, 0.5, 0.5)
+
+    def test_y_outside_unit_interval_rejected_on_the_block_path(self):
+        ys = np.linspace(0.0, 1.0, SEQ + 1)
+        xs = np.linspace(0.0, 1.0, SEQ + 1)
+        for bad in (-1e-9, 1.0 + 1e-9, np.nan):
+            ys_bad = ys.copy()
+            ys_bad[-1] = bad
+            with pytest.raises(ValueError):
+                quadtree.line_cost(xs, ys_bad, 0.5)
+
