@@ -137,18 +137,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_GLOBAL_KEYS = ("seed", "threads", "out", "format")
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv) -> list:
-    """Config supplies defaults as `--key value` pairs prepended to argv."""
+    """Config supplies defaults as `--key value` pairs inserted into argv.
+
+    Global keys go in front of the whole argv and subcommand keys right after
+    the subcommand, so every explicit flag comes later and wins.
+    """
     paths = [b for a, b in zip(argv, argv[1:]) if a == "--config"]
     paths += [a.split("=", 1)[1] for a in argv if a.startswith("--config=")]
+    argv = list(argv)
     if not paths:
-        return list(argv)
+        return argv
     cfg = _read_config(paths[0])
-    injected = []
+    front, after = [], []
     for k, v in cfg.items():
-        injected.extend([f"--{k.replace('_', '-')}", v])
-    # injected flags go first so explicit flags override them
-    return injected + list(argv)
+        (front if k in _GLOBAL_KEYS else after).extend([f"--{k.replace('_', '-')}", v])
+    # the subcommand is the first word that is not a global flag or its value
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] or argv[i] in ("-h", "--help") else 2
+    return front + argv[: i + 1] + after + argv[i + 1 :]
 
 
 def _cmd_constants(args) -> Table:
@@ -189,12 +200,11 @@ def _cmd_simulate_cost(args) -> Table:
 
 
 def _cmd_profile(args) -> Table:
-    rng = np.random.default_rng([args.seed, 0])
-    pts = quadtree.sample_uniform_points(args.n, rng)
+    xs, ys = quadtree.sample_uniform_xy(args.n, np.random.default_rng([args.seed, 0]))
     if args.tree == "quad":
-        prof = quadtree.profile(quadtree.build(pts))
+        prof = quadtree.profile_xy(xs, ys)
     else:
-        prof = kdtree.kd_profile(kdtree.build_kd(pts, args.root_axis))
+        prof = kdtree.profile_xy(xs, ys, args.root_axis)
     rows = list(zip(prof.breakpoints, prof.values))
     return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed})
 
@@ -226,9 +236,8 @@ def _cmd_diagnostics(args) -> Table:
         wn, ln = limitproc.diagnostics(args.depth, env)
         row = [r, wn, ln]
         if args.fill_n is not None:
-            rng = np.random.default_rng([args.seed, r])
-            tree = quadtree.build(quadtree.sample_uniform_points(args.fill_n, rng))
-            row.append(limitproc.fill_up_level(tree))
+            xs, ys = quadtree.sample_uniform_xy(args.fill_n, np.random.default_rng([args.seed, r]))
+            row.append(limitproc.fill_up_level_xy(xs, ys))
         rows.append(tuple(row))
     return Table(columns=columns, rows=rows, meta={"seed": args.seed, "depth": args.depth})
 

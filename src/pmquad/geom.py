@@ -5,6 +5,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["Point2", "Cell", "StepProfile"]
 
 
@@ -59,48 +61,50 @@ class StepProfile:
     __slots__ = ("breakpoints", "values")
 
     def __init__(self, breakpoints, values):
-        breakpoints = list(breakpoints)
-        values = list(values)
-        if len(breakpoints) != len(values) or not breakpoints:
+        b = np.asarray(breakpoints, dtype=float)
+        v = np.asarray(values)
+        if b.ndim != 1 or b.shape != v.shape or not b.size:
             raise ValueError("breakpoints and values must be equal-length, nonempty")
-        if breakpoints[0] != 0.0:
+        if b[0] != 0.0:
             raise ValueError("first breakpoint must be 0")
-        for a, b in zip(breakpoints, breakpoints[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
-        if breakpoints[-1] > 1.0:
+        if not np.all(b[:-1] < b[1:]):
+            raise ValueError("breakpoints must be strictly increasing")
+        if b[-1] > 1.0:
             raise ValueError("breakpoints must lie in [0, 1]")
-        for a, b in zip(values, values[1:]):
-            if a == b:
-                raise ValueError("profile not canonical: adjacent values equal")
-        self.breakpoints = breakpoints
-        self.values = values
+        if np.any(v[:-1] == v[1:]):
+            raise ValueError("profile not canonical: adjacent values equal")
+        self.breakpoints = b.tolist()
+        self.values = v.tolist()
+
+    @classmethod
+    def from_extents(cls, x0, x1):
+        """The count of cells [x0[i], x1[i]) meeting each position: +1 at every
+        x0 and -1 at every x1, so ``x0`` and ``x1`` may differ in length.
+
+        Positions at or beyond 1.0 are dropped (cells touching the right edge
+        are closed there, so nothing ends before s = 1); jumps at equal
+        positions merge, and merged jumps of zero vanish.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        x1 = np.asarray(x1, dtype=float)
+        x0 = x0[~(x0 >= 1.0)]
+        x1 = x1[~(x1 >= 1.0)]
+        pos, at = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+        jump = np.bincount(at[: x0.size], minlength=pos.size)
+        jump -= np.bincount(at[x0.size :], minlength=pos.size)
+        zero = pos == 0.0
+        step = ~zero & (jump != 0)
+        values = np.cumsum(np.concatenate([[jump[zero].sum()], jump[step]]))
+        return cls(np.concatenate([[0.0], pos[step]]), values)
 
     @classmethod
     def from_events(cls, events):
-        """Build from (position, delta) jump events; deltas at equal positions merge.
-
-        Events at position 1.0 are dropped: cells touching the right edge are
-        closed there, so nothing ends before s = 1.
-        """
-        acc = {0.0: 0}
-        for pos, delta in events:
-            if pos >= 1.0:
-                continue
-            acc[pos] = acc.get(pos, 0) + delta
-        breakpoints = [0.0]
-        values = [acc[0.0]]
-        level = acc[0.0]
-        for pos in sorted(acc):
-            if pos == 0.0:
-                continue
-            delta = acc[pos]
-            if delta == 0:
-                continue
-            level += delta
-            breakpoints.append(pos)
-            values.append(level)
-        return cls(breakpoints, values)
+        """Build from (position, integer delta) jump events; see ``from_extents``."""
+        events = list(events)
+        pos = np.array([p for p, _ in events], dtype=float)
+        delta = np.array([d for _, d in events], dtype=np.int64)
+        starts = np.repeat(pos, np.maximum(delta, 0))
+        return cls.from_extents(starts, np.repeat(pos, np.maximum(-delta, 0)))
 
     def eval(self, s: float) -> int:
         if not 0.0 <= s <= 1.0:
@@ -118,10 +122,9 @@ class StepProfile:
     def max_segment(self):
         """(value, (lo, hi)) for the first segment attaining the maximum."""
         best = max(self.values)
-        for lo, hi, v in self.segments():
-            if v == best:
-                return best, (lo, hi)
-        raise AssertionError("unreachable")
+        i = self.values.index(best)
+        hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else 1.0
+        return best, (self.breakpoints[i], hi)
 
     def __eq__(self, other):
         return (

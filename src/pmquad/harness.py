@@ -190,9 +190,8 @@ def _block_mean_profile(spec, lo, hi):
     (n,) = _sizes(spec)
     out = np.empty((hi - lo, len(grid)))
     for r in range(lo, hi):
-        rng = _stream(spec, r)
-        pts = quadtree.sample_uniform_points(n, rng)
-        prof = quadtree.profile(quadtree.build(pts))
+        xs, ys = quadtree.sample_uniform_xy(n, _stream(spec, r))
+        prof = quadtree.profile_xy(xs, ys)
         out[r - lo] = [prof.eval(float(s)) for s in grid]
     return out
 
@@ -291,9 +290,8 @@ def _block_supremum(spec, lo, hi):
     out = np.empty((hi - lo, len(sizes)))
     for r in range(lo, hi):
         for j, n in enumerate(sizes):
-            rng = _stream(spec, j, r)
-            pts = quadtree.sample_uniform_points(n, rng)
-            out[r - lo, j] = quadtree.supremum(quadtree.build(pts))[0]
+            xs, ys = quadtree.sample_uniform_xy(n, _stream(spec, j, r))
+            out[r - lo, j] = quadtree.profile_xy(xs, ys).max_segment()[0]
     return out
 
 

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from .errors import AxisMismatchError
 from .geom import Cell, Point2, StepProfile
-from .quadtree import _KD_H, _KD_V, _check_general_position, _check_query, _slice_cost, profile
+from .quadtree import (
+    _KD_H,
+    _KD_V,
+    _check_general_position,
+    _check_query,
+    _node_extents,
+    _slice_cost,
+    profile,
+)
 
 __all__ = [
     "VERTICAL",
@@ -23,6 +31,7 @@ __all__ = [
     "cost_perp",
     "kd_profile",
     "kd_supremum",
+    "profile_xy",
     "decomposition_check",
     "line_cost",
 ]
@@ -170,6 +179,12 @@ def vertical_decomposition_check(tree: KdTree, s: float) -> bool:
     return cost_parallel(tree, s) == 1 + _search_count(side, s)
 
 
+def _rule(root_axis: str) -> int:
+    if root_axis not in (VERTICAL, HORIZONTAL):
+        raise ValueError(f"root_axis must be 'v' or 'h', got {root_axis!r}")
+    return _KD_V if root_axis == VERTICAL else _KD_H
+
+
 def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:
     """cost of the 2-d tree on the point sequence at x = s, without nodes.
 
@@ -178,7 +193,11 @@ def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:
     Coordinates are checked as in ``quadtree.line_cost``.
     """
     _check_query(s)
-    if root_axis not in (VERTICAL, HORIZONTAL):
-        raise ValueError(f"root_axis must be 'v' or 'h', got {root_axis!r}")
-    rule = _KD_V if root_axis == VERTICAL else _KD_H
-    return _slice_cost(xs, ys, s, 0.0, 1.0, rule)
+    return _slice_cost(xs, ys, s, 0.0, 1.0, _rule(root_axis))
+
+
+def profile_xy(xs, ys, root_axis: str = VERTICAL) -> StepProfile:
+    """kd_profile(build_kd(points, root_axis)) of the points (xs, ys), without
+    building nodes: the quadtree's level-wise kernel under the 2-d tree rule."""
+    x0, x1, _ = _node_extents(xs, ys, _rule(root_axis))
+    return StepProfile.from_extents(x0, x1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .quadtree import QuadTree
+from .quadtree import _QUAD, QuadTree, _node_extents
 from .specfun import beta_exponent
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "diagnostics",
     "diagnostics_many",
     "fill_up_level",
+    "fill_up_level_xy",
 ]
 
 _MAX_POINTWISE_DEPTH = 24
@@ -303,12 +304,21 @@ def diagnostics_many(n: int, master_seed: int, reps: int):
 
 def fill_up_level(tree: QuadTree) -> int:
     """Largest n such that every potential node above depth n exists."""
-    if tree.root is None:
-        return 0
     counts = {}
     for _, depth in tree.nodes_with_depth():
         counts[depth] = counts.get(depth, 0) + 1
+    return _full_levels([counts[d] for d in range(len(counts))])
+
+
+def fill_up_level_xy(xs, ys) -> int:
+    """fill_up_level(build(points)) of the points (xs, ys), from the node
+    counts per depth of the level-wise kernel."""
+    return _full_levels(_node_extents(xs, ys, _QUAD)[2])
+
+
+def _full_levels(counts) -> int:
+    """Leading depths d whose node count is 4^d."""
     level = 0
-    while counts.get(level, 0) == 4**level:
+    while level < len(counts) and counts[level] == 4**level:
         level += 1
     return level

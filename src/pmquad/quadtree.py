@@ -8,7 +8,13 @@ crossing the line (the latter two are kept as independently coded oracles).
 materializing nodes, which is what makes desk-scale Monte Carlo cheap.  It
 shares one kernel with ``kdtree.line_cost``; a vectorized block filter lets
 the exact per-point update skip the many points that cannot cross.
-"""
+
+The whole profile s -> cost comes from every node's cell x-extent.
+``profile_xy`` (and ``kdtree.profile_xy``) get those extents from one
+level-wise kernel on arrays, which partitions the pending points a depth at a
+time instead of inserting them one by one, and ``StepProfile.from_extents``
+turns them into the step function with one sort and a cumulative sum.  The
+linked ``QuadNode`` trees from ``build`` remain as the reference."""
 
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ __all__ = [
     "cost",
     "horizontal_crossings",
     "profile",
+    "profile_xy",
     "supremum",
     "subtree_sizes",
     "sample_poisson_tree",
@@ -177,12 +184,9 @@ def horizontal_crossings(tree: QuadTree, s: float) -> int:
 
 
 def profile(tree: QuadTree) -> StepProfile:
-    """The exact step function s -> cost(tree, s)."""
-    events = []
-    for node in tree.nodes():
-        events.append((node.cell.x0, +1))
-        events.append((node.cell.x1, -1))
-    return StepProfile.from_events(events)
+    """The exact step function s -> cost(tree, s), from the node objects."""
+    cells = [node.cell for node in tree.nodes()]
+    return StepProfile.from_extents([c.x0 for c in cells], [c.x1 for c in cells])
 
 
 def supremum(tree: QuadTree):
@@ -219,6 +223,14 @@ _AFTER = (_QUAD, _KD_H, _KD_V)  # a slice's rule once it has been crossed
 SEQ = 256  # points updated one by one before the block filter starts
 
 
+def _coords(xs, ys) -> tuple:
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise ValueError(f"coordinates must be 1-d of equal length, got {xs.shape}, {ys.shape}")
+    return xs, ys
+
+
 def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
     """Crossings of x = s by the tree on the points (xs, ys) in arrival order.
 
@@ -229,10 +241,7 @@ def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
     against a hull of the slices as they stood at m.  That test passes every
     crossing, and only the points that pass get the exact update.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape:
-        raise ValueError(f"coordinates must be 1-d of equal length, got {xs.shape}, {ys.shape}")
+    xs, ys = _coords(xs, ys)
     n = xs.size
     if n > SEQ and not (0.0 <= ys.min() and ys.max() <= 1.0):
         raise ValueError("y-coordinates must lie in [0, 1]")
@@ -289,6 +298,63 @@ def line_cost(xs, ys, s: float, x_lo: float = 0.0, x_hi: float = 1.0) -> int:
     if not x_lo <= s <= x_hi:
         raise ValueError("query line must lie inside the root box")
     return _slice_cost(xs, ys, s, x_lo, x_hi, _QUAD)
+
+
+def _node_extents(xs, ys, rule: int) -> tuple:
+    """(x0, x1, counts) of the tree the points (xs, ys) build in arrival order
+    from the unit-square root under ``rule``: every node's cell x-extent
+    [x0, x1), and the number of nodes at each depth.
+
+    Builds the tree a level at a time.  The pending points stay sorted by
+    (cell, arrival); the first point of each cell's run is that cell's node,
+    and every later point moves to the node's child cell (x >= node x goes
+    right and y >= node y goes top, as in ``QuadNode.child_index``).  Input
+    is checked as ``build`` checks its points.
+    """
+    xs, ys = _coords(xs, ys)
+    outside = ~((0.0 <= xs) & (xs <= 1.0) & (0.0 <= ys) & (ys <= 1.0))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise ValueError(f"point ({float(xs[i])}, {float(ys[i])}) outside the unit square")
+    if any(np.any(a[1:] == a[:-1]) for a in (np.sort(xs), np.sort(ys))):
+        # raises, naming the first point that repeats a coordinate
+        _check_general_position(Point2(x, y, i) for i, (x, y) in enumerate(zip(xs, ys)))
+    n = xs.size
+    x0, x1 = np.empty(n), np.empty(n)
+    counts = []
+    x, y, lo, hi = xs, ys, np.zeros(n), np.ones(n)
+    cell = np.zeros(n, dtype=np.intp)
+    done = 0
+    while x.size:
+        head = np.concatenate(([True], cell[1:] != cell[:-1]))
+        run = np.cumsum(head) - 1  # the cell run of each pending point
+        k = int(run[-1]) + 1
+        x0[done : done + k] = lo[head]
+        x1[done : done + k] = hi[head]
+        counts.append(k)
+        done += k
+        rest = np.flatnonzero(~head)
+        run = run[rest]
+        hx, hy = x[head][run], y[head][run]  # the node each point passes
+        x, y, lo, hi = x[rest], y[rest], lo[rest], hi[rest]
+        cell = 4 * run  # + the child's place: ids number the cells afresh, below 4n
+        if rule != _KD_H:  # split at hx: narrow the x-extent
+            right = x >= hx
+            lo = np.where(right, hx, lo)
+            hi = np.where(right, hi, hx)
+            cell += 2 * right
+        if rule != _KD_V:  # split at hy
+            cell += y >= hy
+        rule = _AFTER[rule]
+        order = np.argsort(cell, kind="stable")
+        x, y, lo, hi, cell = x[order], y[order], lo[order], hi[order], cell[order]
+    return x0, x1, counts
+
+
+def profile_xy(xs, ys) -> StepProfile:
+    """profile(build(points)) of the points (xs, ys), without building nodes."""
+    x0, x1, _ = _node_extents(xs, ys, _QUAD)
+    return StepProfile.from_extents(x0, x1)
 
 
 def sample_extension_xy(t: float, eps: float, rng) -> tuple:

@@ -3,10 +3,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pmquad import kdtree, quadtree
 from pmquad.cli import main
-from pmquad.harness import parse_csv
+from pmquad.harness import Table, emit_csv, parse_csv
+from pmquad.quadtree import sample_uniform_points
 from pmquad.moments import psi_moments
 from pmquad.specfun import constants
 
@@ -169,6 +172,21 @@ class TestConfigFile:
         _, out3, _ = run_cli(args + ["--seed", "10"], capsys)
         assert out3 != out1
 
+    def test_config_subcommand_and_global_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 50\nreplications = 2\nseed = 4\n")
+        code, out1, _ = run_cli(["--config", str(cfg), "simulate-cost"], capsys)
+        _, out2, _ = run_cli(["--seed", "4", "simulate-cost", "--n", "50",
+                              "--replications", "2"], capsys)
+        assert code == 0 and out1 == out2
+        # explicit flags win over both kinds of key, wherever they stand
+        for args in (["--seed", "5", "simulate-cost", "--replications", "3"],
+                     ["simulate-cost", "--seed", "5", "--replications", "3"]):
+            _, out3, _ = run_cli(["--config", str(cfg)] + args, capsys)
+            _, out4, _ = run_cli(["--seed", "5", "simulate-cost", "--n", "50",
+                                  "--replications", "3"], capsys)
+            assert out3 == out4
+
     def test_config_equals_form(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 9\n")
@@ -184,6 +202,23 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "constants"])
         assert exc.value.code == 2
+
+
+class TestProfileMatchesObjectTrees:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("tree", [[], ["--tree", "kd", "--root-axis", "v"],
+                                      ["--tree", "kd", "--root-axis", "h"]])
+    def test_output_bytes(self, capsys, seed, tree):
+        _, out, _ = run_cli(["--seed", str(seed), "profile", "--n", "300"] + tree, capsys)
+        pts = sample_uniform_points(300, np.random.default_rng([seed, 0]))
+        if tree:
+            prof = kdtree.kd_profile(kdtree.build_kd(pts, tree[-1]))
+        else:
+            prof = quadtree.profile(quadtree.build(pts))
+        rows = list(zip(prof.breakpoints, prof.values))
+        buf = io.StringIO()
+        emit_csv(Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": seed}), buf)
+        assert out == buf.getvalue()
 
 
 class TestOutputFiles:

@@ -12,6 +12,7 @@ from pmquad.limitproc import (
     diagnostics_many,
     env_seed,
     fill_up_level,
+    fill_up_level_xy,
     g_apply,
     simulate_many,
     simulate_path,
@@ -19,7 +20,7 @@ from pmquad.limitproc import (
     simulate_pointwise_2d,
 )
 from pmquad.moments import make_grid, psi_moments, second_moment_iterates
-from pmquad.quadtree import build, sample_uniform_points
+from pmquad.quadtree import build, sample_uniform_points, sample_uniform_xy
 from pmquad.specfun import beta_exponent, h
 
 B = beta_exponent()
@@ -276,10 +277,17 @@ class TestDiagnostics:
         assert rates[2] < 0.5
 
 
+def _fill(pts):
+    """fill_up_level of the tree on pts, checked against the array kernel."""
+    level = fill_up_level(build(pts))
+    assert fill_up_level_xy([p.x for p in pts], [p.y for p in pts]) == level
+    return level
+
+
 class TestFillUp:
     def test_empty_and_single(self):
-        assert fill_up_level(build([])) == 0
-        assert fill_up_level(build([Point2(0.5, 0.5, 0)])) == 1
+        assert _fill([]) == 0
+        assert _fill([Point2(0.5, 0.5, 0)]) == 1
 
     def test_one_point_per_quadrant(self):
         pts = [
@@ -289,7 +297,7 @@ class TestFillUp:
             Point2(0.3, 0.3, 3),
             Point2(0.8, 0.8, 4),
         ]
-        assert fill_up_level(build(pts)) == 2
+        assert _fill(pts) == 2
 
     def test_empty_root_quadrant_stops_at_one(self):
         pts = [
@@ -298,7 +306,7 @@ class TestFillUp:
             Point2(0.7, 0.2, 2),
             Point2(0.8, 0.8, 3),  # bottom-left quadrant stays empty
         ]
-        assert fill_up_level(build(pts)) == 1
+        assert _fill(pts) == 1
 
     def test_grows_with_tree_size(self):
         def median_fill(n, reps=60):
@@ -310,3 +318,14 @@ class TestFillUp:
 
         assert median_fill(625) >= 2.0
         assert median_fill(625) > median_fill(5)
+
+    def test_array_kernel_matches_object_tree(self):
+        levels = []
+        for r in range(200):
+            n = (0, 1, 5, 21, 85, 500)[r % 6]
+            xs, ys = sample_uniform_xy(n, np.random.default_rng([516, r]))
+            level = fill_up_level_xy(xs, ys)
+            tree = build(sample_uniform_points(n, np.random.default_rng([516, r])))
+            assert level == fill_up_level(tree)
+            levels.append(level)
+        assert max(levels) >= 3
