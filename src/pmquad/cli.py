@@ -144,7 +144,10 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> list:
     """Config supplies defaults as `--key value` pairs inserted into argv.
 
     Global keys go in front of the whole argv and subcommand keys right after
-    the subcommand, so every explicit flag comes later and wins.
+    the subcommand, so every explicit flag comes later and wins.  One file
+    can serve several subcommands: a key that another subcommand defines but
+    the chosen one does not is skipped; a key no subcommand knows is passed
+    on, and argparse rejects it.
     """
     paths = [b for a, b in zip(argv, argv[1:]) if a == "--config"]
     paths += [a.split("=", 1)[1] for a in argv if a.startswith("--config=")]
@@ -152,13 +155,20 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> list:
     if not paths:
         return argv
     cfg = _read_config(paths[0])
-    front, after = [], []
-    for k, v in cfg.items():
-        (front if k in _GLOBAL_KEYS else after).extend([f"--{k.replace('_', '-')}", v])
     # the subcommand is the first word that is not a global flag or its value
     i = 0
     while i < len(argv) and argv[i].startswith("-"):
         i += 1 if "=" in argv[i] or argv[i] in ("-h", "--help") else 2
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+    chosen = flags.get(argv[i] if i < len(argv) else None)
+    front, after = [], []
+    for k, v in cfg.items():
+        flag = f"--{k.replace('_', '-')}"
+        if k in _GLOBAL_KEYS:
+            front.extend([flag, v])
+        elif chosen is None or flag in chosen or not any(flag in f for f in flags.values()):
+            after.extend([flag, v])
     return front + argv[: i + 1] + after + argv[i + 1 :]
 
 

@@ -48,6 +48,9 @@ _MIX_B = 0x94D049BB133111EB
 
 _ROOT_CODE = 1  # heap numbering base 4: children of code c are 4c+0 .. 4c+3
 _GOLDEN3 = (3 * _GOLDEN) & _M64  # label counter stride: 3 families per address
+_TWO_GOLDEN3 = (2 * _GOLDEN3) & _M64  # right-hand children: code digit + 2
+
+_BOX_BUDGET = 1 << 16  # crossing boxes one expansion batch holds at a time
 
 
 def _mix64_int(x: int) -> int:
@@ -61,13 +64,15 @@ def _mix64_int(x: int) -> int:
     return x
 
 
-def _mix64_arr(x):
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> np.uint64(30)
+def _mix64_arr(x: np.ndarray, t=None) -> np.ndarray:
+    """splitmix64 finalizer of a uint64 array, in place; ``t`` is scratch of
+    x's shape, allocated when not given."""
+    t = np.right_shift(x, np.uint64(30), out=t)
+    x ^= t
     x *= np.uint64(_MIX_A)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=t)
     x *= np.uint64(_MIX_B)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=t)
     return x
 
 
@@ -81,11 +86,6 @@ def _env_seeds_arr(master_seed: int, indices) -> np.ndarray:
     base = _mix64_int((master_seed & _M64) ^ _GOLDEN)
     idx = np.asarray(indices, dtype=np.uint64)
     return _mix64_arr(np.uint64(base) + idx * np.uint64(_GOLDEN))
-
-
-def _to_unit(z: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa offset by half a step: values stay in the open interval
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -134,125 +134,227 @@ def g_apply(x: float, y: float, f1, f2, f3, f4, s: float) -> float:
     return ((1.0 - x) * y) ** b * f3(u) + ((1.0 - x) * (1.0 - y)) ** b * f4(u)
 
 
-def _pairwise_fold(a: np.ndarray) -> np.ndarray:
-    """Sum along the last axis by repeated halving: order-fixed, shape-stable."""
-    while a.shape[-1] > 1:
-        a = a[..., 0::2] + a[..., 1::2]
-    return a[..., 0]
-
-
-def _label_uniforms(state: np.ndarray, family: int):
+def _label_uniforms(state: np.ndarray, family: int, z=None, t=None):
     """Uniform in (0, 1) from the splitmix64 finalizer of the label counter.
 
     state = (3 code + family) * GOLDEN + seed: the counter 3 code + family is
     injective over (address, family) pairs, so no two labels in a run ever
-    share a generator state.
+    share a generator state.  The hash runs in place in the uint64 scratch
+    arrays ``z`` and ``t`` of state's shape, allocated when not given.
     """
-    return _to_unit(_mix64_arr(state + np.uint64((family * _GOLDEN) & _M64)))
+    z = _mix64_arr(np.add(state, np.uint64((family * _GOLDEN) & _M64), out=z), t)
+    # 53-bit mantissa offset by half a step: values stay in the open interval
+    z >>= np.uint64(11)
+    out = np.add(z.view(np.int64), 0.5)  # < 2^53: exact either way
+    out *= 2.0**-53
+    return out
 
 
-def _expand_crossing(n: int, s: float, seeds: np.ndarray, two_d: bool,
-                     return_boxes: bool = False):
-    """Z_n(s) for a batch of environments given as a (R,) array of seeds."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"query position must lie in [0, 1], got {s!r}")
+# Layout of the crossing-box expansion.  A batch holds m independent rows
+# (environments, query positions or subtree roots).  The boxes of one level
+# are an (m, D, H) array in halves order: the bottom and top children of the
+# box in column c sit in columns c and c + D*H of the next level, so a row's
+# leaves are its paths with the first split in the lowest bit.  Siblings
+# share their relative position u, which is stored once, shaped (m, 1, H).
+# Folding a row by halves adds sibling subtrees exactly as the pairwise fold
+# of the breadth-first order does, so every sum has the same bits.
+
+
+def _children(state, log_area, u, two_d: bool):
+    """Split each box at its labels: the children's log-areas (m, 2, D*H),
+    their relative position (m, 1, D*H) and the left-branch mask (m, D, H)."""
+    m, d, w = state.shape
+    z = np.empty_like(state)
+    t = np.empty_like(state)
+    U = _label_uniforms(state, 0, z=z, t=t)
+    h_bottom = _label_uniforms(state, 1, z=z, t=t)
+    left = u < U
+    # branch selection by blending, exact for finite values: x * 1 + y * 0 == x
+    take_left = left.astype(np.float64)
+    take_right = 1.0 - take_left
+    if two_d:
+        W = _label_uniforms(state, 2, z=z, t=t)
+        h_bottom *= take_left
+        W *= take_right
+        h_bottom += W
+    width = 1.0 - U
+    u_next = u - U
+    u_next /= width
+    u_next *= take_right
+    u_left = u / U
+    u_left *= take_left
+    u_next += u_left
+    width *= take_right
+    U *= take_left
+    width += U
+    la = np.empty((m, 2, d, w))
+    np.multiply(width, h_bottom, out=la[:, 0])
+    np.subtract(1.0, h_bottom, out=la[:, 1])
+    la[:, 1] *= width
+    np.log(la, out=la)
+    la += log_area[:, None]
+    return la.reshape(m, 2, d * w), u_next.reshape(m, 1, d * w), left
+
+
+def _descend(state, log_area, u, seed_off, levels: int, two_d: bool):
+    """The boxes ``levels`` levels further down.  ``seed_off`` (m, 1) is
+    -3 seed mod 2^64: a child's counter state is 4 state - 3 seed + digit G3,
+    with digit its last base-4 address digit."""
+    for _ in range(levels):
+        m = state.shape[0]
+        log_area, u_next, left = _children(state, log_area, u, two_d)
+        nxt = np.empty(log_area.shape, dtype=np.uint64)
+        bottom = nxt[:, 0]
+        np.multiply(state.reshape(m, -1), np.uint64(4), out=bottom)
+        bottom += seed_off
+        bottom += np.multiply(~left.reshape(m, -1), np.uint64(_TWO_GOLDEN3))
+        np.add(bottom, np.uint64(_GOLDEN3), out=nxt[:, 1])
+        state, u = nxt, u_next
+    return state, log_area, u
+
+
+def _leaves(state, log_area, u, seed_off, levels: int, two_d: bool):
+    """(log-area, relative position) of the boxes ``levels`` levels down."""
+    if levels == 0:
+        return log_area, u
+    state, log_area, u = _descend(state, log_area, u, seed_off, levels - 1, two_d)
+    return _children(state, log_area, u, two_d)[:2]
+
+
+def _roots(s, seeds: np.ndarray):
+    """Root boxes of a batch: one per row, with query position s[r] in the
+    environment of seed seeds[r]."""
+    seeds = seeds.astype(np.uint64).reshape(-1, 1, 1)
+    m = seeds.shape[0]
+    return (seeds + np.uint64(_GOLDEN3), np.zeros((m, 1, 1)),
+            np.array(s, dtype=float).reshape(m, 1, 1),
+            seeds.reshape(m, 1) * np.uint64(_M64 - 2))
+
+
+def _pairwise_fold(a: np.ndarray) -> np.ndarray:
+    """Sum along the last axis by repeated halving: order-fixed, shape-stable.
+
+    Column j meets column j + half, which in halves order is its sibling."""
+    while a.shape[-1] > 1:
+        half = a.shape[-1] // 2
+        a = a[..., :half] + a[..., half:]
+    return a[..., 0]
+
+
+def _box_sums(log_area, u) -> np.ndarray:
+    """Per row, the fold of area^beta * h(u) over the row's boxes."""
+    b = beta_exponent()
+    m = log_area.shape[0]
+    g = (u * (1.0 - u)) ** (b / 2.0)
+    log_area *= b
+    terms = np.exp(log_area, out=log_area)
+    terms *= g
+    return _pairwise_fold(terms.reshape(m, -1))
+
+
+def _check_query(n: int, s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    bad = ~((s >= 0.0) & (s <= 1.0))
+    if bad.any():
+        raise ValueError(f"query position must lie in [0, 1], got {float(s[bad][0])!r}")
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if n > _MAX_POINTWISE_DEPTH:
         raise CapExceededError(f"depth {n} exceeds cap {_MAX_POINTWISE_DEPTH}")
-    b = beta_exponent()
-    reps = seeds.shape[0]
-    seeds_col = seeds.reshape(reps, 1).astype(np.uint64)
-    codes = np.full((reps, 1), _ROOT_CODE, dtype=np.uint64)
-    log_area = np.zeros((reps, 1))
-    u = np.full((reps, 1), float(s))
-    for _ in range(n):
-        state = codes * np.uint64(_GOLDEN3) + seeds_col
-        U = _label_uniforms(state, 0)
-        V = _label_uniforms(state, 1)
-        left = u < U
-        width = np.where(left, U, 1.0 - U)
-        if two_d:
-            W = _label_uniforms(state, 2)
-            h_bottom = np.where(left, V, W)
-        else:
-            h_bottom = V
-        u_next = np.where(left, u / U, (u - U) / (1.0 - U))
-        base = codes * np.uint64(4) + np.where(left, 0, 2).astype(np.uint64)
-        m = u.shape[1]
-        # children of box j sit at columns 2j (bottom) and 2j+1 (top)
-        codes_next = np.empty((reps, 2 * m), dtype=np.uint64)
-        codes_next[:, 0::2] = base
-        codes_next[:, 1::2] = base + np.uint64(1)
-        la_next = np.empty((reps, 2 * m))
-        la_next[:, 0::2] = log_area + np.log(width * h_bottom)
-        la_next[:, 1::2] = log_area + np.log(width * (1.0 - h_bottom))
-        u2 = np.empty((reps, 2 * m))
-        u2[:, 0::2] = u_next
-        u2[:, 1::2] = u_next
-        codes, log_area, u = codes_next, la_next, u2
-    if return_boxes:
-        return log_area, u
-    terms = np.exp(b * log_area) * (u * (1.0 - u)) ** (b / 2.0)
-    return _pairwise_fold(terms)
+    return s
+
+
+def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
+    """Z_n(s[r]) in the environment of seed seeds[r], for every row r.
+
+    ``s`` is one position or one per row.  Each batch of rows is expanded
+    breadth first to the split level k at which one subtree holds at most
+    _BOX_BUDGET boxes; the subtrees rooted there are then finished
+    _BOX_BUDGET boxes at a time, folded, and their 2^k partial sums folded
+    again.  The labels depend only on (seed, address), so the order of the
+    work changes no bit of the result.
+    """
+    s = np.broadcast_to(_check_query(n, s), seeds.shape)
+    split = max(0, n - (_BOX_BUDGET.bit_length() - 1))
+    rows = max(1, _BOX_BUDGET >> n)
+    per_batch = max(1, _BOX_BUDGET >> (n - split))
+    out = np.empty(seeds.shape[0])
+    for lo in range(0, seeds.shape[0], rows):
+        state, log_area, u, seed_off = _roots(s[lo:lo + rows], seeds[lo:lo + rows])
+        m = state.shape[0]
+        state, log_area, u = _descend(state, log_area, u, seed_off, split, two_d)
+        # every box at the split level roots one subtree
+        r = state.size
+        u = np.broadcast_to(u, state.shape).reshape(r, 1, 1)
+        state = state.reshape(r, 1, 1)
+        log_area = log_area.reshape(r, 1, 1)
+        seed_off = np.broadcast_to(seed_off, (m, r // m)).reshape(r, 1)
+        sums = np.empty(r)
+        for j in range(0, r, per_batch):
+            k = slice(j, j + per_batch)
+            sums[k] = _box_sums(*_leaves(state[k], log_area[k], u[k], seed_off[k],
+                                         n - split, two_d))
+        out[lo:lo + m] = _pairwise_fold(sums.reshape(m, -1))
+    return out
 
 
 def simulate_pointwise(n: int, s: float, env: LimitEnvironment) -> float:
     """Z_n(s) for one environment (quadtree branching: shared vertical label)."""
     seeds = np.array([env.seed & _M64], dtype=np.uint64)
-    return float(_expand_crossing(n, s, seeds, two_d=False)[0])
+    return float(_crossing_sums(n, s, seeds, two_d=False)[0])
 
 
 def crossing_boxes(n: int, s: float, env: LimitEnvironment, two_d: bool = False):
     """(areas, relative positions) of the level-n boxes meeting x = s.
 
-    Introspection view of the same expansion the simulators run: exactly 2^n
-    boxes, areas multiplicative along each branch, and
+    Introspection view of the same expansion the simulators run, in
+    breadth-first order (the children of box j are boxes 2j and 2j+1):
+    exactly 2^n boxes, areas multiplicative along each branch, and
     sum(areas^beta * h(u)) reproduces the simulated value.
     """
+    s = _check_query(n, s)
     seeds = np.array([env.seed & _M64], dtype=np.uint64)
-    log_area, u = _expand_crossing(n, s, seeds, two_d=two_d, return_boxes=True)
-    return np.exp(log_area[0]), u[0]
+    log_area, u = _leaves(*_roots(s, seeds), n, two_d)
+    u = np.broadcast_to(u, log_area.shape)
+    # halves order to breadth-first order: reverse the n path bits
+    order = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        order = np.concatenate((2 * order, 2 * order + 1))
+    return np.exp(log_area.reshape(-1)[order]), u.reshape(-1)[order]
 
 
 def simulate_pointwise_2d(n: int, s: float, env: LimitEnvironment) -> float:
     """Z_n(s) for the 2-d tree variant: independent vertical labels per side."""
     seeds = np.array([env.seed & _M64], dtype=np.uint64)
-    return float(_expand_crossing(n, s, seeds, two_d=True)[0])
+    return float(_crossing_sums(n, s, seeds, two_d=True)[0])
 
 
 def simulate_path(n: int, grid, env: LimitEnvironment, two_d: bool = False):
     """Z_n on a grid of query positions from one environment.
 
     Pointwise equal (bit for bit) to the single-point evaluators with the
-    same environment.
+    same environment; the grid points run as the rows of one batched
+    expansion.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size > _MAX_GRID:
         raise CapExceededError(f"grid size {grid.size} exceeds cap {_MAX_GRID}")
-    fn = simulate_pointwise_2d if two_d else simulate_pointwise
-    return np.array([fn(n, float(s), env) for s in grid])
+    seeds = np.full(grid.size, env.seed & _M64, dtype=np.uint64)
+    return _crossing_sums(n, grid, seeds, two_d)
 
 
 def simulate_many(n: int, s: float, master_seed: int, reps: int,
-                  two_d: bool = False, chunk: int = 256, start: int = 0) -> np.ndarray:
+                  two_d: bool = False, start: int = 0) -> np.ndarray:
     """Z_n(s) across ``reps`` independent environments with indices
     start .. start+reps-1.
 
     Entry r equals simulate_pointwise(n, s, LimitEnvironment(env_seed(seed,
-    start + r))) exactly; environments are processed in index order in
-    fixed-size chunks.
+    start + r))) exactly.
     """
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
-    out = np.empty(reps)
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        seeds = _env_seeds_arr(
-            master_seed, np.arange(start + lo, start + hi, dtype=np.uint64)
-        )
-        out[lo:hi] = _expand_crossing(n, s, seeds, two_d=two_d)
-    return out
+    seeds = _env_seeds_arr(master_seed, np.arange(start, start + reps, dtype=np.uint64))
+    return _crossing_sums(n, s, seeds, two_d)
 
 
 def diagnostics(n: int, env: LimitEnvironment):

@@ -17,8 +17,10 @@ geometrically to the fixed point c2 h^2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ _MAX_ORDER = 60
 _LOG_SPACE_FROM = 31  # direct summation is safe below; binomials in log space above
 _MIN_GRID = 64
 _MAX_ITER = 30
+_K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
 
 
 @dataclass(frozen=True)
@@ -195,31 +198,79 @@ def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
     return g
 
 
-def _edge_integral(sigma: float, grid: np.ndarray, vals: np.ndarray, b: float) -> float:
-    """Exact value of int_sigma^1 x^{2b} f(sigma/x) dx for piecewise-linear f.
+class _KGeometry(NamedTuple):
+    """Breakpoint data of one block of apply_K rows (see _k_geometry)."""
 
-    On each u-cell of the grid the integrand is a0 x^{2b} + a1 sigma x^{2b-1}
-    (u = sigma/x), so the integral is a sum of closed-form segment terms; no
-    numerical quadrature error enters.
+    low: np.ndarray  # rows with sigma <= 0
+    inner: np.ndarray  # rows with 0 < sigma < 1, in order
+    heads: np.ndarray  # where each starts among the breakpoints: at sigma
+    rows: list  # slice of each inner row's segments
+    col: np.ndarray  # grid index of every breakpoint but the heads
+    us: np.ndarray  # all breakpoints, row after row
+    du: np.ndarray  # per segment: breakpoint spacing,
+    sig: np.ndarray  # sigma,
+    d1: np.ndarray  # x_hi^(2b+1) - x_lo^(2b+1)
+    d0: np.ndarray  # and x_hi^(2b) - x_lo^(2b)
+
+
+@functools.lru_cache(maxsize=16)
+def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
+    """The part of apply_K's exact product integration that f does not enter,
+    for the edge integrals lo .. hi-1 on one grid.
+
+    Edge integral i is int_sigma^1 x^{2b} f(sigma/x) dx with sigma = grid[i]
+    for i < G and sigma = 1 - grid[i - G] after.  For 0 < sigma < 1 its
+    u-breakpoints are sigma and the grid points above it; on each u-cell the
+    integrand is a0 x^{2b} + a1 sigma x^{2b-1} (u = sigma/x), so the integral
+    is a sum of closed-form segment terms.  The breakpoints of all such rows
+    are concatenated, and the powers of x = sigma/u are taken once per
+    breakpoint, since each segment's lower x is the next one's upper x.  The
+    pairs that straddle two rows are computed too but summed into neither.
     """
-    if sigma >= 1.0:
-        return 0.0
-    if sigma <= 0.0:
-        return vals[0] / (2.0 * b + 1.0)
-    j0 = np.searchsorted(grid, sigma, side="right")
-    us = np.concatenate(([sigma], grid[j0:]))
-    if us[-1] < 1.0:
-        us = np.concatenate((us, [1.0]))
-    fv = np.interp(us, grid, vals)
-    ua, ub = us[:-1], us[1:]
+    b = beta_exponent()
+    grid = np.frombuffer(grid_bytes)
+    sigma = np.concatenate((grid, 1.0 - grid))[lo:hi]
+    inner = np.flatnonzero((sigma > 0.0) & (sigma < 1.0))
+    first = np.searchsorted(grid, sigma[inner], side="right")
+    counts = grid.size - first + 1
+    ends = np.cumsum(counts)
+    heads = ends - counts
+    col = np.arange(counts.sum()) + np.repeat(first - 1 - heads, counts)
+    us = grid[col]
+    us[heads] = sigma[inner]
+    sig = np.repeat(sigma[inner], counts)
+    x = sig / us
+    p1 = x ** (2.0 * b + 1.0)
+    p0 = x ** (2.0 * b)
+    geometry = _KGeometry(
+        low=np.flatnonzero(sigma <= 0.0), inner=inner, heads=heads,
+        rows=[slice(a, e - 1) for a, e in zip(heads.tolist(), ends.tolist())], col=col,
+        us=us, du=us[1:] - us[:-1], sig=sig[:-1], d1=p1[:-1] - p1[1:], d0=p0[:-1] - p0[1:],
+    )
+    for v in geometry:
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return geometry
+
+
+def _edge_integrals(geo: _KGeometry, n_rows: int, grid, vals, b: float) -> np.ndarray:
+    """The edge integrals of one block of rows, for the piecewise-linear f
+    with these grid values; each row's terms are summed in the row's order."""
+    fv = vals[geo.col]  # interpolation at a grid point returns its value
+    fv[geo.heads] = np.interp(geo.us[geo.heads], grid, vals)
     fa, fb = fv[:-1], fv[1:]
-    slope = (fb - fa) / (ub - ua)
-    a0 = fa - slope * ua
-    xhi = sigma / ua  # u decreases as x increases
-    xlo = sigma / ub
-    seg = a0 * (xhi ** (2.0 * b + 1.0) - xlo ** (2.0 * b + 1.0)) / (2.0 * b + 1.0)
-    seg += slope * sigma * (xhi ** (2.0 * b) - xlo ** (2.0 * b)) / (2.0 * b)
-    return float(np.sum(seg))
+    slope = (fb - fa) / geo.du
+    a0 = fa - slope * geo.us[:-1]
+    seg = a0 * geo.d1
+    seg /= 2.0 * b + 1.0
+    t = slope * geo.sig
+    t *= geo.d0
+    t /= 2.0 * b
+    seg += t
+    out = np.zeros(n_rows)
+    out[geo.low] = vals[0] / (2.0 * b + 1.0)
+    out[geo.inner] = [np.add.reduce(seg[r]) for r in geo.rows]
+    return out
 
 
 def apply_K(f: GridFunction) -> GridFunction:
@@ -235,14 +286,16 @@ def apply_K(f: GridFunction) -> GridFunction:
         )
     b = beta_exponent()
     grid, vals = f.grid, f.values
+    key = grid.tobytes()
+    n = grid.size
+    edge = np.empty(2 * n)
+    step = max(1, _K_BLOCK // n)
+    for lo in range(0, 2 * n, step):
+        hi = min(lo + step, 2 * n)
+        edge[lo:hi] = _edge_integrals(_k_geometry(key, lo, hi), hi - lo, grid, vals, b)
     inhom = 2.0 * beta_fn(b + 1.0, b + 1.0) / (b + 1.0) * (grid * (1.0 - grid)) ** b
     scale = 2.0 / (2.0 * b + 1.0)
-    out = np.empty_like(vals)
-    for i, s in enumerate(grid):
-        out[i] = scale * (
-            _edge_integral(s, grid, vals, b) + _edge_integral(1.0 - s, grid, vals, b)
-        ) + inhom[i]
-    return GridFunction(grid=grid, values=out)
+    return GridFunction(grid=grid, values=scale * (edge[:n] + edge[n:]) + inhom)
 
 
 def second_moment_iterates(n: int, grid=None) -> GridFunction:

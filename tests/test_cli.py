@@ -196,6 +196,25 @@ class TestConfigFile:
         _, out0, _ = run_cli(tail, capsys)
         assert out1 == out2 != out0
 
+    def test_config_shared_across_subcommands(self, capsys, tmp_path):
+        # n belongs to simulate-cost, profile and experiment, not to constants
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 50\nseed = 4\n")
+        code, out1, _ = run_cli(["--config", str(cfg), "constants"], capsys)
+        _, out2, _ = run_cli(["constants"], capsys)
+        assert code == 0 and out1 == out2
+        _, out3, _ = run_cli(["--config", str(cfg), "profile"], capsys)
+        _, out4, _ = run_cli(["--seed", "4", "profile", "--n", "50"], capsys)
+        assert out3 == out4
+
+    def test_config_key_no_subcommand_knows(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "constants"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+
     def test_malformed_config(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("seed 9\n")

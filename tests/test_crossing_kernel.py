@@ -1,0 +1,294 @@
+"""The budgeted crossing-box kernel and apply_K's cached geometry against the
+code they replaced.
+
+``reference_expand`` is the breadth-first expansion ``_expand_crossing`` that
+held all reps x 2^n boxes at once, and ``reference_apply_k`` the per-grid-point
+loop over ``_edge_integral``; both are kept verbatim (with their helpers) as
+the reference oracles.  Every comparison is bit for bit.  Shrinking
+``_BOX_BUDGET`` makes small depths run the split-level and multi-batch paths.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import pmquad
+from pmquad import limitproc, moments
+from pmquad.errors import CapExceededError
+from pmquad.limitproc import (
+    LimitEnvironment,
+    crossing_boxes,
+    env_seed,
+    simulate_many,
+    simulate_path,
+    simulate_pointwise,
+    simulate_pointwise_2d,
+)
+from pmquad.moments import GridFunction, apply_K, make_grid
+from pmquad.specfun import beta_exponent, beta_fn
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+_ROOT_CODE = 1
+_GOLDEN3 = (3 * _GOLDEN) & _M64
+_MAX_POINTWISE_DEPTH = 24
+
+
+def _mix64_arr(x):
+    x = x.astype(np.uint64, copy=True)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX_A)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX_B)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _to_unit(z: np.ndarray) -> np.ndarray:
+    # 53-bit mantissa offset by half a step: values stay in the open interval
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _pairwise_fold(a: np.ndarray) -> np.ndarray:
+    """Sum along the last axis by repeated halving: order-fixed, shape-stable."""
+    while a.shape[-1] > 1:
+        a = a[..., 0::2] + a[..., 1::2]
+    return a[..., 0]
+
+
+def _label_uniforms(state: np.ndarray, family: int):
+    return _to_unit(_mix64_arr(state + np.uint64((family * _GOLDEN) & _M64)))
+
+
+def reference_expand(n: int, s: float, seeds: np.ndarray, two_d: bool,
+                     return_boxes: bool = False):
+    """Z_n(s) for a batch of environments given as a (R,) array of seeds."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"query position must lie in [0, 1], got {s!r}")
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
+    if n > _MAX_POINTWISE_DEPTH:
+        raise CapExceededError(f"depth {n} exceeds cap {_MAX_POINTWISE_DEPTH}")
+    b = beta_exponent()
+    reps = seeds.shape[0]
+    seeds_col = seeds.reshape(reps, 1).astype(np.uint64)
+    codes = np.full((reps, 1), _ROOT_CODE, dtype=np.uint64)
+    log_area = np.zeros((reps, 1))
+    u = np.full((reps, 1), float(s))
+    for _ in range(n):
+        state = codes * np.uint64(_GOLDEN3) + seeds_col
+        U = _label_uniforms(state, 0)
+        V = _label_uniforms(state, 1)
+        left = u < U
+        width = np.where(left, U, 1.0 - U)
+        if two_d:
+            W = _label_uniforms(state, 2)
+            h_bottom = np.where(left, V, W)
+        else:
+            h_bottom = V
+        u_next = np.where(left, u / U, (u - U) / (1.0 - U))
+        base = codes * np.uint64(4) + np.where(left, 0, 2).astype(np.uint64)
+        m = u.shape[1]
+        # children of box j sit at columns 2j (bottom) and 2j+1 (top)
+        codes_next = np.empty((reps, 2 * m), dtype=np.uint64)
+        codes_next[:, 0::2] = base
+        codes_next[:, 1::2] = base + np.uint64(1)
+        la_next = np.empty((reps, 2 * m))
+        la_next[:, 0::2] = log_area + np.log(width * h_bottom)
+        la_next[:, 1::2] = log_area + np.log(width * (1.0 - h_bottom))
+        u2 = np.empty((reps, 2 * m))
+        u2[:, 0::2] = u_next
+        u2[:, 1::2] = u_next
+        codes, log_area, u = codes_next, la_next, u2
+    if return_boxes:
+        return log_area, u
+    terms = np.exp(b * log_area) * (u * (1.0 - u)) ** (b / 2.0)
+    return _pairwise_fold(terms)
+
+
+def reference_many(n, s, master_seed, reps, two_d=False, start=0):
+    seeds = np.array([env_seed(master_seed, start + r) for r in range(reps)], dtype=np.uint64)
+    out = np.empty(reps)
+    for lo in range(0, reps, 256):
+        out[lo:lo + 256] = reference_expand(n, s, seeds[lo:lo + 256], two_d)
+    return out
+
+
+def reference_point(n, s, env, two_d=False):
+    return float(reference_expand(n, s, np.array([env.seed], dtype=np.uint64), two_d)[0])
+
+
+def _edge_integral(sigma: float, grid: np.ndarray, vals: np.ndarray, b: float) -> float:
+    """Exact value of int_sigma^1 x^{2b} f(sigma/x) dx for piecewise-linear f."""
+    if sigma >= 1.0:
+        return 0.0
+    if sigma <= 0.0:
+        return vals[0] / (2.0 * b + 1.0)
+    j0 = np.searchsorted(grid, sigma, side="right")
+    us = np.concatenate(([sigma], grid[j0:]))
+    if us[-1] < 1.0:
+        us = np.concatenate((us, [1.0]))
+    fv = np.interp(us, grid, vals)
+    ua, ub = us[:-1], us[1:]
+    fa, fb = fv[:-1], fv[1:]
+    slope = (fb - fa) / (ub - ua)
+    a0 = fa - slope * ua
+    xhi = sigma / ua  # u decreases as x increases
+    xlo = sigma / ub
+    seg = a0 * (xhi ** (2.0 * b + 1.0) - xlo ** (2.0 * b + 1.0)) / (2.0 * b + 1.0)
+    seg += slope * sigma * (xhi ** (2.0 * b) - xlo ** (2.0 * b)) / (2.0 * b)
+    return float(np.sum(seg))
+
+
+def reference_apply_k(f: GridFunction) -> GridFunction:
+    b = beta_exponent()
+    grid, vals = f.grid, f.values
+    inhom = 2.0 * beta_fn(b + 1.0, b + 1.0) / (b + 1.0) * (grid * (1.0 - grid)) ** b
+    scale = 2.0 / (2.0 * b + 1.0)
+    out = np.empty_like(vals)
+    for i, s in enumerate(grid):
+        out[i] = scale * (
+            _edge_integral(s, grid, vals, b) + _edge_integral(1.0 - s, grid, vals, b)
+        ) + inhom[i]
+    return GridFunction(grid=grid, values=out)
+
+
+ENV = LimitEnvironment(987654321)
+GRID = make_grid(512, extra=(0.4,))
+# query positions: the ends, the middle, and values taken from a grid
+POSITIONS = (0.0, -0.0, 1.0, 0.5, float(GRID[137]), float(1.0 - GRID[400]), 0.4)
+
+
+@pytest.fixture(params=[None, 2, 8, 64], ids=["default", "budget2", "budget8", "budget64"])
+def budget(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(limitproc, "_BOX_BUDGET", request.param)
+    return request.param
+
+
+class TestSimulateMany:
+    @pytest.mark.parametrize("two_d", [False, True])
+    @pytest.mark.parametrize("depth", range(13))
+    def test_default_budget(self, depth, two_d):
+        for s in POSITIONS:
+            got = simulate_many(depth, s, 4242, 37, two_d=two_d, start=5)
+            assert np.array_equal(got, reference_many(depth, s, 4242, 37, two_d, start=5))
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_small_budgets(self, budget, two_d):
+        for depth in (0, 1, 2, 3, 4, 6, 9):
+            for s in POSITIONS:
+                got = simulate_many(depth, s, 77, 3, two_d=two_d, start=11)
+                assert np.array_equal(got, reference_many(depth, s, 77, 3, two_d, start=11))
+
+    def test_rows_span_batches(self, monkeypatch):
+        # 8 rows per batch at depth 3: 21 rows leave a partial last batch
+        monkeypatch.setattr(limitproc, "_BOX_BUDGET", 64)
+        for two_d in (False, True):
+            got = simulate_many(3, 0.3, 5, 21, two_d=two_d, start=1000)
+            assert np.array_equal(got, reference_many(3, 0.3, 5, 21, two_d, start=1000))
+
+    def test_more_reps_than_one_old_chunk(self):
+        got = simulate_many(6, 0.3, 9, 600, start=17)
+        assert np.array_equal(got, reference_many(6, 0.3, 9, 600, start=17))
+
+
+class TestSingleEnvironment:
+    def test_path(self, budget):
+        grid = np.concatenate((np.linspace(0.0, 1.0, 23), GRID[130:140]))
+        for two_d in (False, True):
+            for depth in (0, 1, 5, 8):
+                want = [reference_point(depth, float(s), ENV, two_d) for s in grid]
+                assert np.array_equal(simulate_path(depth, grid, ENV, two_d), want)
+
+    def test_pointwise(self, budget):
+        for depth in (0, 3, 7, 10):
+            for s in POSITIONS:
+                assert simulate_pointwise(depth, s, ENV) == reference_point(depth, s, ENV)
+                assert simulate_pointwise_2d(depth, s, ENV) == reference_point(
+                    depth, s, ENV, two_d=True)
+
+    def test_crossing_boxes(self, budget):
+        seeds = np.array([ENV.seed], dtype=np.uint64)
+        for two_d in (False, True):
+            for depth in (0, 1, 2, 7):
+                for s in (0.0, 0.37, 1.0):
+                    areas, rel = crossing_boxes(depth, s, ENV, two_d)
+                    la, u = reference_expand(depth, s, seeds, two_d, return_boxes=True)
+                    assert np.array_equal(areas, np.exp(la[0]))
+                    assert np.array_equal(rel, u[0])
+
+
+class TestBatchedKernelEdges:
+    @pytest.mark.parametrize("bad", [1.5, -0.25, float("nan")])
+    def test_bad_grid_value_rejected_before_any_expansion(self, monkeypatch, bad):
+        def expand(*args, **kwargs):
+            raise AssertionError("expansion ran before the grid was checked")
+
+        monkeypatch.setattr(limitproc, "_children", expand)
+        grid = [0.1, 0.5, bad]
+        with pytest.raises(ValueError, match=r"query position must lie in \[0, 1\], got"):
+            simulate_path(4, grid, ENV)
+        with pytest.raises(ValueError, match=r"query position must lie in \[0, 1\]"):
+            simulate_many(4, bad, 1, 3)
+
+    def test_caps_fire_before_any_work(self, monkeypatch):
+        def expand(*args, **kwargs):
+            raise AssertionError("expansion ran past a cap")
+
+        monkeypatch.setattr(limitproc, "_children", expand)
+        with pytest.raises(CapExceededError, match="grid size"):
+            simulate_path(2, np.linspace(0.0, 1.0, limitproc._MAX_GRID + 1), ENV)
+        with pytest.raises(CapExceededError, match="depth 25"):
+            simulate_path(25, [0.5], ENV)
+        with pytest.raises(CapExceededError, match="depth 25"):
+            simulate_many(25, 0.5, 1, 2)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            simulate_path(-1, [0.5], ENV)
+
+    def test_empty_inputs(self):
+        assert simulate_path(6, [], ENV).shape == (0,)
+        assert simulate_many(6, 0.5, 3, 0).shape == (0,)
+        assert simulate_many(6, 0.5, 3, 0, two_d=True).shape == (0,)
+
+
+def test_depth_20_memory_stays_within_the_box_budget():
+    # the full breadth-first expansion needed about 380 MiB here
+    code = (
+        "import numpy as np\n"
+        "from pmquad.limitproc import simulate_many\n"
+        "v = simulate_many(20, 0.4, 2024, 4)\n"
+        "assert v.shape == (4,) and np.all(np.isfinite(v))\n"
+    )
+    src = str(Path(pmquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss / 1024 < 150  # MiB (ru_maxrss is in KiB on Linux)
+
+
+@pytest.mark.parametrize("grid", [make_grid(), make_grid(300, graded=True),
+                                  make_grid(128, extra=(0.4, 0.613))],
+                         ids=["uniform", "graded", "extra"])
+class TestApplyK:
+    def test_one_application(self, grid):
+        rng = np.random.default_rng(3)
+        f = GridFunction(grid=grid, values=rng.random(grid.size))
+        assert np.array_equal(apply_K(f).values, reference_apply_k(f).values)
+
+    def test_fourteenth_iterate(self, grid, monkeypatch):
+        b = beta_exponent()
+        f_ref = GridFunction(grid=grid, values=(grid * (1.0 - grid)) ** b)
+        for _ in range(14):
+            f_ref = reference_apply_k(f_ref)
+        assert np.array_equal(moments.second_moment_iterates(14, grid).values, f_ref.values)
+        # rows in many small blocks, more than the geometry cache holds
+        monkeypatch.setattr(moments, "_K_BLOCK", 3 * grid.size)
+        assert np.array_equal(moments.second_moment_iterates(14, grid).values, f_ref.values)
