@@ -4,6 +4,11 @@ Subcommands: constants, moments, second-moment, simulate-cost, profile,
 simulate-limit, experiment, diagnostics.  Global flags (before the
 subcommand): --seed, --threads, --out, --format, --config.
 
+experiment, simulate-cost and diagnostics run their replications in blocks
+of 256 on the harness's block scheduler (`harness.run_blocks`): --threads N
+(N >= 1) runs the blocks on at most N worker processes, and on no more than
+there are blocks or usable CPUs.  Output bytes do not depend on N.
+
 Exit codes: 0 success, 1 stdout closed early (e.g. by `head`; no traceback),
 2 invalid arguments, 3 cap exceeded, 4 acceptance check failed (--check).
 """
@@ -22,8 +27,10 @@ from .harness import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
     Table,
+    _streams,
     emit_csv,
     emit_plot_data,
+    run_blocks,
     run_check,
     run_experiment,
 )
@@ -52,12 +59,20 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _threads(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--seed", type=int, default=d(0), help="master seed (default 0)")
-    p.add_argument("--threads", type=int, default=d(1),
-                   help="worker processes for experiments (default 1; output is "
-                        "byte-identical for any value)")
+    p.add_argument("--threads", type=_threads, default=d(1),
+                   help="worker processes for experiment, simulate-cost and diagnostics "
+                        "(default 1; at most one per block of 256 replications and per "
+                        "usable CPU; output is byte-identical for any value)")
     p.add_argument("--out", default=d("-"), help="output path, '-' for stdout (default)")
     p.add_argument("--format", choices=("csv", "plot"), default=d("csv"),
                    help="csv or gnuplot-style plot data (default csv)")
@@ -190,10 +205,9 @@ def _cmd_second_moment(args) -> Table:
     return Table(columns=["s", "m_n"], rows=rows, meta={"iters": args.iters})
 
 
-def _cmd_simulate_cost(args) -> Table:
+def _block_simulate_cost(args, lo, hi):
     rows = []
-    for r in range(args.replications):
-        rng = np.random.default_rng([args.seed, r])
+    for r, rng in zip(range(lo, hi), _streams((args.seed,), lo, hi)):
         if args.poisson is not None:
             n = int(rng.poisson(args.poisson))
         else:
@@ -205,8 +219,13 @@ def _cmd_simulate_cost(args) -> Table:
         else:
             value = kdtree.line_cost(xs, ys, s, args.root_axis)
         rows.append((r, value))
+    return rows
+
+
+def _cmd_simulate_cost(args) -> Table:
+    parts = run_blocks(_block_simulate_cost, args, args.replications, args.threads)
     meta = {"seed": args.seed, "tree": args.tree, "generator": "pcg64"}
-    return Table(columns=["replication", "cost"], rows=rows, meta=meta)
+    return Table(columns=["replication", "cost"], rows=[r for p in parts for r in p], meta=meta)
 
 
 def _cmd_profile(args) -> Table:
@@ -236,20 +255,24 @@ def _cmd_simulate_limit(args) -> Table:
                  meta={"seed": args.seed, "depth": args.depth})
 
 
+def _block_diagnostics(args, lo, hi):
+    wn, ln = limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)
+    columns = [range(lo, hi), wn.tolist(), ln.tolist()]
+    if args.fill_n is not None:
+        columns.append([
+            limitproc.fill_up_level_xy(*quadtree.sample_uniform_xy(args.fill_n, rng))
+            for rng in _streams((args.seed,), lo, hi)
+        ])
+    return list(zip(*columns))
+
+
 def _cmd_diagnostics(args) -> Table:
-    rows = []
     columns = ["replication", "wn", "ln"]
     if args.fill_n is not None:
         columns.append("fillup")
-    for r in range(args.replications):
-        env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, r))
-        wn, ln = limitproc.diagnostics(args.depth, env)
-        row = [r, wn, ln]
-        if args.fill_n is not None:
-            xs, ys = quadtree.sample_uniform_xy(args.fill_n, np.random.default_rng([args.seed, r]))
-            row.append(limitproc.fill_up_level_xy(xs, ys))
-        rows.append(tuple(row))
-    return Table(columns=columns, rows=rows, meta={"seed": args.seed, "depth": args.depth})
+    parts = run_blocks(_block_diagnostics, args, args.replications, args.threads)
+    return Table(columns=columns, rows=[r for p in parts for r in p],
+                 meta={"seed": args.seed, "depth": args.depth})
 
 
 def _cmd_experiment(args) -> tuple:

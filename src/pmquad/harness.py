@@ -2,7 +2,8 @@
 
 Each replication r of an experiment draws from its own generator seeded by
 the pair (seed, r) (PCG64 behind numpy's default generator), so results do
-not depend on how replications are scheduled.  Replications are computed in
+not depend on how replications are scheduled; the generators of one block
+are seeded together (`_streams`).  Replications are computed in
 fixed-size index blocks; any worker pool may run blocks out of order, but
 aggregation always consumes them in index order with exactly rounded
 summation, making output bytes independent of the worker count.
@@ -11,7 +12,8 @@ summation, making output bytes independent of the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "Table",
     "aggregate",
     "variance_se",
+    "run_blocks",
     "run_experiment",
     "run_check",
     "emit_csv",
@@ -172,11 +175,111 @@ def parse_csv(fh) -> Table:
 
 
 # ---------------------------------------------------------------------------
+# per-replication streams, seeded a block at a time
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def _words(v) -> list:
+    """The uint32 entropy words SeedSequence takes from one integer."""
+    v = operator.index(v)
+    if v < 0:
+        raise ValueError("expected non-negative integer")
+    out = [v & _M32]
+    while v > _M32:
+        v >>= 32
+        out.append(v & _M32)
+    return out
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, uint64) for each column of the
+    (words, rows) uint32 entropy array, with the rows mixed side by side.
+
+    SeedSequence's hash constants advance once per hashmix whatever the
+    values, so every row of one word count uses the same constants.
+    """
+    n_words, m = entropy.shape
+    # one hashmix per pool word, three per pool source, four per extra word
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + max(0, n_words - _POOL_SIZE)))
+    k = 0
+
+    def hashmix(v, count):
+        nonlocal k
+        out = v ^ a[k : k + count]
+        out *= a[k + 1 : k + count + 1]
+        out ^= out >> 16
+        k += count
+        return out
+
+    def mix(x, y):
+        out = x * _MIX_MULT_L
+        out -= y * _MIX_MULT_R
+        out ^= out >> 16
+        return out
+
+    head = entropy[:_POOL_SIZE]
+    if n_words < _POOL_SIZE:
+        head = np.concatenate([head, np.zeros((_POOL_SIZE - n_words, m), np.uint32)])
+    pool = hashmix(head, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        # pool[src] stays fixed while it is mixed into the other three
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL_SIZE - 1))
+    for src in range(_POOL_SIZE, n_words):
+        pool = mix(pool, hashmix(entropy[src], _POOL_SIZE))
+    b = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = pool[np.arange(2 * _POOL_SIZE) % _POOL_SIZE] ^ b[:-1]
+    state *= b[1:]
+    state ^= state >> 16
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _streams(prefix, lo: int, hi: int, suffix=()) -> list:
+    """Generators equal to np.random.default_rng([*prefix, r, *suffix]) for
+    r in lo .. hi-1, with the SeedSequence mixing of all rows done at once.
+
+    Each PCG64 is seeded from its row of the mixed state; an ``r`` of 2**32
+    or more takes two entropy words, so such a block is seeded one stream
+    at a time.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _Row(ISeedSequence):
+        __slots__ = ("state",)
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    head = [w for v in prefix for w in _words(v)]
+    tail = [w for v in suffix for w in _words(v)]
+    if lo < 0:
+        raise ValueError("expected non-negative integer")
+    if hi - 1 > _M32:
+        return [np.random.default_rng([*prefix, r, *suffix]) for r in range(lo, hi)]
+    entropy = np.empty((len(head) + 1 + len(tail), hi - lo), dtype=np.uint32)
+    entropy[:] = np.array([*head, 0, *tail], dtype=np.uint32)[:, None]
+    entropy[len(head)] = np.arange(lo, hi)
+    return [np.random.Generator(np.random.PCG64(_Row(row))) for row in _seed_states(entropy)]
+
+
+# ---------------------------------------------------------------------------
 # experiment kinds: per-block simulation + summarize + acceptance check
-
-
-def _stream(spec: ExperimentSpec, *indices) -> np.random.Generator:
-    return np.random.default_rng([spec.seed, *indices])
 
 
 def _sizes(spec: ExperimentSpec) -> tuple:
@@ -189,10 +292,9 @@ def _block_mean_profile(spec, lo, hi):
     grid = spec.s_grid or (0.5,)
     (n,) = _sizes(spec)
     out = np.empty((hi - lo, len(grid)))
-    for r in range(lo, hi):
-        xs, ys = quadtree.sample_uniform_xy(n, _stream(spec, r))
-        prof = quadtree.profile_xy(xs, ys)
-        out[r - lo] = [prof.eval(float(s)) for s in grid]
+    for i, rng in enumerate(_streams((spec.seed,), lo, hi)):
+        prof = quadtree.profile_xy(*quadtree.sample_uniform_xy(n, rng))
+        out[i] = [prof.eval(float(s)) for s in grid]
     return out
 
 
@@ -227,12 +329,11 @@ def _check_mean_profile(spec, table, tol_scale):
 def _block_variance_uniform(spec, lo, hi):
     sizes = _sizes(spec)
     out = np.empty((hi - lo, len(sizes)))
-    for r in range(lo, hi):
-        for j, n in enumerate(sizes):
-            rng = _stream(spec, j, r)
+    for j, n in enumerate(sizes):
+        for i, rng in enumerate(_streams((spec.seed, j), lo, hi)):
             xs, ys = quadtree.sample_uniform_xy(n, rng)
             xi = float(rng.random())
-            out[r - lo, j] = quadtree.line_cost(xs, ys, xi)
+            out[i, j] = quadtree.line_cost(xs, ys, xi)
     return out
 
 
@@ -288,10 +389,10 @@ def _check_variance_uniform(spec, table, tol_scale):
 def _block_supremum(spec, lo, hi):
     sizes = _sizes(spec)
     out = np.empty((hi - lo, len(sizes)))
-    for r in range(lo, hi):
-        for j, n in enumerate(sizes):
-            xs, ys = quadtree.sample_uniform_xy(n, _stream(spec, j, r))
-            out[r - lo, j] = quadtree.profile_xy(xs, ys).max_segment()[0]
+    for j, n in enumerate(sizes):
+        for i, rng in enumerate(_streams((spec.seed, j), lo, hi)):
+            xs, ys = quadtree.sample_uniform_xy(n, rng)
+            out[i, j] = quadtree.profile_xy(xs, ys).max_segment()[0]
     return out
 
 
@@ -388,13 +489,12 @@ def _block_coupling(spec, lo, hi):
     out = np.empty((hi - lo, 3))
     tp = spec.t * (1.0 + spec.eps)
     sp = (spec.s + spec.eps) / (1.0 + spec.eps)
-    for r in range(lo, hi):
-        rng = _stream(spec, r)
+    pairs = zip(_streams((spec.seed,), lo, hi), _streams((spec.seed,), lo, hi, (1,)))
+    for i, (rng, rng2) in enumerate(pairs):
         xs, ys = quadtree.sample_extension_xy(spec.t, spec.eps, rng)
         base, ext = quadtree.coupled_extension_cost(xs, ys, spec.eps, spec.s)
-        rng2 = _stream(spec, r, 1)
         xs2, ys2 = quadtree.sample_poisson_xy(tp, rng2)
-        out[r - lo] = (base, ext, quadtree.line_cost(xs2, ys2, sp))
+        out[i] = (base, ext, quadtree.line_cost(xs2, ys2, sp))
     return out
 
 
@@ -446,12 +546,11 @@ def _check_coupling(spec, table, tol_scale):
 def _block_kd_mean(spec, lo, hi):
     (n,) = _sizes(spec)
     out = np.empty((hi - lo, 2))
-    for r in range(lo, hi):
-        for j, axis in enumerate((kdtree.VERTICAL, kdtree.HORIZONTAL)):
-            rng = _stream(spec, j, r)
+    for j, axis in enumerate((kdtree.VERTICAL, kdtree.HORIZONTAL)):
+        for i, rng in enumerate(_streams((spec.seed, j), lo, hi)):
             xs, ys = quadtree.sample_uniform_xy(n, rng)
             xi = float(rng.random())
-            out[r - lo, j] = kdtree.line_cost(xs, ys, xi, axis)
+            out[i, j] = kdtree.line_cost(xs, ys, xi, axis)
     return out
 
 
@@ -484,11 +583,10 @@ def _check_kd_mean(spec, table, tol_scale):
 
 def _block_poisson_mean(spec, lo, hi):
     out = np.empty((hi - lo, 1))
-    for r in range(lo, hi):
-        rng = _stream(spec, r)
+    for i, rng in enumerate(_streams((spec.seed,), lo, hi)):
         xs, ys = quadtree.sample_poisson_xy(spec.t, rng)
         xi = float(rng.random())
-        out[r - lo, 0] = quadtree.line_cost(xs, ys, xi)
+        out[i, 0] = quadtree.line_cost(xs, ys, xi)
     return out
 
 
@@ -541,8 +639,6 @@ def _meta(spec: ExperimentSpec, **extra) -> dict:
 def _validate(spec: ExperimentSpec) -> None:
     if spec.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
-    if spec.replications < 1:
-        raise ValueError("replications must be >= 1")
     if spec.kind == "limit-moments" and spec.depth > limitproc._MAX_POINTWISE_DEPTH:
         raise CapExceededError(f"depth {spec.depth} exceeds cap {limitproc._MAX_POINTWISE_DEPTH}")
     for n in spec.sizes:
@@ -552,10 +648,35 @@ def _validate(spec: ExperimentSpec) -> None:
         raise ValueError(f"{spec.kind} takes exactly one size")
 
 
-def _block_worker(args):
-    spec, lo, hi = args
+def _block_worker(spec, lo, hi):
     block_fn = EXPERIMENT_KINDS[spec.kind][0]
     return block_fn(spec, lo, hi)
+
+
+def _call(block):
+    fn, params, lo, hi = block
+    return fn(params, lo, hi)
+
+
+def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
+    """[fn(params, lo, hi) for each block [lo, hi) of range(reps)], in index
+    order.  ``fn`` must be a module-level function (it is pickled by name).
+
+    The blocks are the fixed ``_BLOCK``-wide index ranges whatever the worker
+    count.  With ``threads > 1`` they run on a process pool of at most
+    ``threads`` workers, and no more than there are blocks or usable CPUs.
+    """
+    if reps < 1:
+        raise ValueError("replications must be >= 1")
+    blocks = [(fn, params, lo, min(lo + _BLOCK, reps)) for lo in range(0, reps, _BLOCK)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(blocks), cpus or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_call, blocks))
+    return [_call(b) for b in blocks]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> Table:
@@ -565,14 +686,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> Table:
     work is split into fixed-size index blocks and reassembled in order.
     """
     _validate(spec)
-    M = spec.replications
-    blocks = [(spec, lo, min(lo + _BLOCK, M)) for lo in range(0, M, _BLOCK)]
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_block_worker, blocks))
-    else:
-        parts = [_block_worker(b) for b in blocks]
-    values = np.concatenate(parts, axis=0)
+    values = np.concatenate(run_blocks(_block_worker, spec, spec.replications, threads), axis=0)
     summarize = EXPERIMENT_KINDS[spec.kind][1]
     return summarize(spec, values)
 

@@ -395,12 +395,13 @@ def diagnostics(n: int, env: LimitEnvironment):
     return wn, ln
 
 
-def diagnostics_many(n: int, master_seed: int, reps: int):
-    """(W_n, L_n) arrays across independent environments."""
+def diagnostics_many(n: int, master_seed: int, reps: int, start: int = 0):
+    """(W_n, L_n) arrays across independent environments with indices
+    start .. start+reps-1."""
     wn = np.empty(reps)
     ln = np.empty(reps)
-    for r in range(reps):
-        wn[r], ln[r] = diagnostics(n, LimitEnvironment(env_seed(master_seed, r)))
+    for i in range(reps):
+        wn[i], ln[i] = diagnostics(n, LimitEnvironment(env_seed(master_seed, start + i)))
     return wn, ln
 
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from pmquad import kdtree, quadtree
+from pmquad import kdtree, limitproc, quadtree
 from pmquad.cli import main
 from pmquad.harness import Table, emit_csv, parse_csv
 from pmquad.quadtree import sample_uniform_points
@@ -281,3 +281,99 @@ class TestThreadIndependence:
         assert run_cli(["--threads", "1", "--out", str(p1)] + base, capsys)[0] == 0
         assert run_cli(["--threads", "4", "--out", str(p2)] + base, capsys)[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# The serial replication loops of simulate-cost and diagnostics as they stood
+# before both moved onto the harness's block scheduler, kept as oracles.
+def _oracle_simulate_cost(args) -> Table:
+    rows = []
+    for r in range(args.replications):
+        rng = np.random.default_rng([args.seed, r])
+        if args.poisson is not None:
+            n = int(rng.poisson(args.poisson))
+        else:
+            n = args.n
+        xs, ys = quadtree.sample_uniform_xy(n, rng)
+        s = args.s if args.s is not None else float(rng.random())
+        if args.tree == "quad":
+            value = quadtree.line_cost(xs, ys, s)
+        else:
+            value = kdtree.line_cost(xs, ys, s, args.root_axis)
+        rows.append((r, value))
+    meta = {"seed": args.seed, "tree": args.tree, "generator": "pcg64"}
+    return Table(columns=["replication", "cost"], rows=rows, meta=meta)
+
+
+def _oracle_diagnostics(args) -> Table:
+    rows = []
+    columns = ["replication", "wn", "ln"]
+    if args.fill_n is not None:
+        columns.append("fillup")
+    for r in range(args.replications):
+        env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, r))
+        wn, ln = limitproc.diagnostics(args.depth, env)
+        row = [r, wn, ln]
+        if args.fill_n is not None:
+            xs, ys = quadtree.sample_uniform_xy(args.fill_n, np.random.default_rng([args.seed, r]))
+            row.append(limitproc.fill_up_level_xy(xs, ys))
+        rows.append(tuple(row))
+    return Table(columns=columns, rows=rows, meta={"seed": args.seed, "depth": args.depth})
+
+
+def _oracle_bytes(oracle, argv) -> str:
+    from pmquad.cli import _build_parser
+
+    buf = io.StringIO()
+    emit_csv(oracle(_build_parser().parse_args(argv)), buf)
+    return buf.getvalue()
+
+
+class TestBlockScheduledCommands:
+    # 600 replications span three blocks of 256
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seed", "6", "simulate-cost", "--n", "120"],
+            ["--seed", "6", "simulate-cost", "--n", "120", "--tree", "kd", "--root-axis", "v"],
+            ["--seed", "7", "simulate-cost", "--n", "120", "--tree", "kd", "--root-axis", "h"],
+            ["--seed", "8", "simulate-cost", "--poisson", "90"],
+            ["--seed", "9", "simulate-cost", "--n", "120", "--s", "0.375"],
+        ],
+    )
+    def test_simulate_cost_bytes(self, capsys, threads, argv):
+        argv = argv + ["--replications", "600"]
+        code, out, _ = run_cli(["--threads", threads] + argv, capsys)
+        assert code == 0
+        assert out == _oracle_bytes(_oracle_simulate_cost, argv)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("fill", [[], ["--fill-n", "60"]])
+    def test_diagnostics_bytes(self, capsys, threads, fill):
+        argv = ["--seed", "3", "diagnostics", "--depth", "3", "--replications", "600"] + fill
+        code, out, _ = run_cli(["--threads", threads] + argv, capsys)
+        assert code == 0
+        assert out == _oracle_bytes(_oracle_diagnostics, argv)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("where", ["global", "subcommand", "config"])
+    def test_threads_below_one_is_usage_error(self, capsys, tmp_path, value, where):
+        tail = ["simulate-cost", "--n", "5", "--replications", "3"]
+        if where == "global":
+            argv = ["--threads", value] + tail
+        elif where == "subcommand":
+            argv = tail + ["--threads", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"threads = {value}\n")
+            argv = ["--config", str(cfg)] + tail
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["simulate-cost", "--n", "5"], ["diagnostics"]])
+    def test_no_replications_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(command + ["--replications", "0"], capsys)
+        assert code == 2 and out == ""
+        assert "replications must be >= 1" in err

@@ -1,10 +1,12 @@
+import concurrent.futures
 import io
 import math
+import os
 
 import numpy as np
 import pytest
 
-from pmquad import limitproc
+from pmquad import harness, limitproc
 from pmquad.errors import CapExceededError
 from pmquad.harness import (
     ExperimentSpec,
@@ -105,6 +107,113 @@ class TestRngStreams:
         )
         corr = np.corrcoef(firsts[:-1], firsts[1:])[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(m)
+
+
+class TestBlockStreams:
+    """_streams against np.random.default_rng, stream by stream."""
+
+    @staticmethod
+    def _assert_default_rng(prefix, lo, hi, suffix=()):
+        got = harness._streams(prefix, lo, hi, suffix)
+        assert len(got) == hi - lo
+        for r, rng in zip(range(lo, hi), got):
+            ref = np.random.default_rng([*prefix, r, *suffix])
+            assert np.array_equal(rng.random(4), ref.random(4)), (prefix, r, suffix)
+            assert np.array_equal(rng.poisson(40.0, 4), ref.poisson(40.0, 4))
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [(), (0,), (7,), (2**32 - 1,), (2**32,), (2**64 - 1,), (2**70,),
+         (0, 2**32 - 1), (2**32, 5), (3, 2**70), (0, 0, 0), (1, 2**64 - 1, 2**32)],
+    )
+    def test_prefixes(self, prefix):
+        self._assert_default_rng(prefix, 0, 7)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (5, 6), (256, 512), (1000, 1003),
+                                        (2**32 - 3, 2**32)])
+    def test_index_ranges(self, lo, hi):
+        self._assert_default_rng((11, 2), lo, hi)
+
+    @pytest.mark.parametrize("suffix", [(1,), (0,), (2**32,), (1, 2**70)])
+    def test_suffix(self, suffix):
+        # coupling's second stream is default_rng([seed, r, 1])
+        self._assert_default_rng((9,), 250, 262, suffix)
+
+    def test_block_straddling_two_word_indices(self):
+        self._assert_default_rng((4,), 2**32 - 2, 2**32 + 2)
+        self._assert_default_rng((4,), 2**32 - 2, 2**32 + 2, (1,))
+
+    @pytest.mark.parametrize("prefix, suffix", [((-1,), ()), ((3, -2), ()), ((3,), (-1,))])
+    def test_negative_value_raises_like_default_rng(self, prefix, suffix):
+        with pytest.raises(ValueError, match="expected non-negative integer") as ref:
+            np.random.default_rng([*prefix, 0, *suffix])
+        with pytest.raises(ValueError) as got:
+            harness._streams(prefix, 0, 3, suffix)
+        assert str(got.value) == str(ref.value)
+
+    def test_negative_index_raises(self):
+        # a uint32 index column would wrap -1 to 2**32 - 1 silently
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            harness._streams((3,), -1, 2)
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        _FakePool.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def _block_ids(params, lo, hi):
+    return [(params, r) for r in range(lo, hi)]
+
+
+class TestRunBlocks:
+    @pytest.fixture
+    def fake_pool(self, monkeypatch):
+        _FakePool.made = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
+        return _FakePool.made
+
+    @pytest.mark.parametrize(
+        "threads, reps, cpus, workers",
+        [
+            (4, 300, 8, 2),  # two blocks: two workers, not four
+            (100_000, 600, 2, 2),  # capped by the usable CPUs
+            (3, 2000, 8, 3),
+            (2, 256, 8, None),  # one block runs in-process
+            (1, 2000, 8, None),
+            (8, 2000, 1, None),
+        ],
+    )
+    def test_pool_size(self, fake_pool, monkeypatch, threads, reps, cpus, workers):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        parts = harness.run_blocks(_block_ids, "p", reps, threads)
+        assert fake_pool == ([] if workers is None else [workers])
+        assert [len(p) for p in parts] == [min(256, reps - lo) for lo in range(0, reps, 256)]
+        assert [x for p in parts for x in p] == [("p", r) for r in range(reps)]
+
+    def test_experiment_pool_size(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        spec = ExperimentSpec(kind="poisson-mean", t=20.0, replications=700, seed=2)
+        assert run_experiment(spec, threads=64).rows == run_experiment(spec).rows
+        assert fake_pool == [3]
+
+    @pytest.mark.parametrize("reps", [0, -5])
+    def test_no_replications(self, reps):
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            harness.run_blocks(_block_ids, None, reps)
 
 
 class TestRunExperiment:
