@@ -4,13 +4,16 @@ Subcommands: constants, moments, second-moment, simulate-cost, profile,
 simulate-limit, experiment, diagnostics.  Global flags (before the
 subcommand): --seed, --threads, --out, --format, --config.
 
-experiment, simulate-cost and diagnostics run their replications in blocks
+Every command with --replications (experiment, simulate-cost,
+simulate-limit --replications and diagnostics) runs its replications in blocks
 of 256 on the harness's block scheduler (`harness.run_blocks`): --threads N
 (N >= 1) runs the blocks on at most N worker processes, and on no more than
 there are blocks or usable CPUs.  Output bytes do not depend on N.
 
 Exit codes: 0 success, 1 stdout closed early (e.g. by `head`; no traceback),
-2 invalid arguments, 3 cap exceeded, 4 acceptance check failed (--check).
+2 invalid arguments (including a command that yields no rows and an --out
+path that cannot be written), 3 cap exceeded, 4 acceptance check failed
+(--check).
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--seed", type=int, default=d(0), help="master seed (default 0)")
     p.add_argument("--threads", type=_threads, default=d(1),
-                   help="worker processes for experiment, simulate-cost and diagnostics "
+                   help="worker processes for commands with --replications "
                         "(default 1; at most one per block of 256 replications and per "
                         "usable CPU; output is byte-identical for any value)")
     p.add_argument("--out", default=d("-"), help="output path, '-' for stdout (default)")
@@ -238,18 +241,20 @@ def _cmd_profile(args) -> Table:
     return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed})
 
 
+def _block_simulate_limit(args, lo, hi):
+    vals = limitproc.simulate_many(args.depth, args.s, args.seed, hi - lo,
+                                   two_d=args.variant == "kd", start=lo)
+    return list(zip(range(lo, hi), vals.tolist()))
+
+
 def _cmd_simulate_limit(args) -> Table:
-    two_d = args.variant == "kd"
     if args.replications is not None:
-        vals = limitproc.simulate_many(
-            args.depth, args.s, args.seed, args.replications, two_d=two_d
-        )
-        rows = list(enumerate(vals.tolist()))
-        return Table(columns=["replication", "value"],
-                     rows=rows, meta={"seed": args.seed, "depth": args.depth})
+        parts = run_blocks(_block_simulate_limit, args, args.replications, args.threads)
+        return Table(columns=["replication", "value"], rows=[r for p in parts for r in p],
+                     meta={"seed": args.seed, "depth": args.depth})
     grid = np.linspace(0.0, 1.0, args.grid)
     env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, 0))
-    vals = limitproc.simulate_path(args.depth, grid, env, two_d=two_d)
+    vals = limitproc.simulate_path(args.depth, grid, env, two_d=args.variant == "kd")
     rows = list(zip(grid.tolist(), vals.tolist()))
     return Table(columns=["s", "z_n"], rows=rows,
                  meta={"seed": args.seed, "depth": args.depth})
@@ -329,6 +334,9 @@ def main(argv=None) -> int:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if not table.rows:
+        print("invalid arguments: the command yields no rows", file=sys.stderr)
+        return EXIT_USAGE
     emit = emit_csv if args.format == "csv" else emit_plot_data
     if args.out == "-":
         try:
@@ -339,8 +347,12 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_BROKEN_PIPE
     else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            emit(table, fh)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                emit(table, fh)
+        except OSError as exc:
+            print(f"cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     if failures:
         for msg in failures:

@@ -24,7 +24,6 @@ from .moments import make_grid, second_moment_iterates
 from .specfun import constants, h
 
 __all__ = [
-    "RngStream",
     "ExperimentSpec",
     "SampleStats",
     "Table",
@@ -41,17 +40,6 @@ __all__ = [
 
 _BLOCK = 256  # fixed scheduling unit; never derived from the worker count
 _GENERATOR_NAME = "pcg64"
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Identifies one replication stream; (seed, stream_index) pins it fully."""
-
-    seed: int
-    stream_index: int
-
-    def generator(self, *extra) -> np.random.Generator:
-        return np.random.default_rng([self.seed, self.stream_index, *extra])
 
 
 @dataclass(frozen=True)

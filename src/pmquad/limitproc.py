@@ -46,7 +46,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-_ROOT_CODE = 1  # heap numbering base 4: children of code c are 4c+0 .. 4c+3
 _GOLDEN3 = (3 * _GOLDEN) & _M64  # label counter stride: 3 families per address
 _TWO_GOLDEN3 = (2 * _GOLDEN3) & _M64  # right-hand children: code digit + 2
 
@@ -82,9 +81,12 @@ def env_seed(master_seed: int, index: int) -> int:
     return _mix64_int(base + index * _GOLDEN)
 
 
-def _env_seeds_arr(master_seed: int, indices) -> np.ndarray:
+def _env_seeds(master_seed: int, start: int, reps: int) -> np.ndarray:
+    """env_seed(master_seed, i) for i in start .. start+reps-1, as uint64."""
+    if reps < 0:
+        raise ValueError(f"reps must be >= 0, got {reps}")
     base = _mix64_int((master_seed & _M64) ^ _GOLDEN)
-    idx = np.asarray(indices, dtype=np.uint64)
+    idx = np.arange(start, start + reps, dtype=np.uint64)
     return _mix64_arr(np.uint64(base) + idx * np.uint64(_GOLDEN))
 
 
@@ -99,20 +101,16 @@ class LimitEnvironment:
 
     seed: int
 
-    def _labels_from_codes(self, codes, salt_index: int):
-        seeds_col = np.array([[self.seed & _M64]], dtype=np.uint64)
-        state = codes.reshape(1, -1) * np.uint64(_GOLDEN3) + seeds_col
-        return _label_uniforms(state, salt_index)[0]
-
     def labels_at(self, address=()):
         """(U, V, W) at a tree address given as a tuple over {1, 2, 3, 4}."""
-        code = _ROOT_CODE
+        seed = self.seed & _M64
+        state = (seed + _GOLDEN3) & _M64
         for d in address:
             if d not in (1, 2, 3, 4):
                 raise ValueError(f"address digits must be in 1..4, got {d!r}")
-            code = 4 * code + (d - 1)
-        codes = np.array([code], dtype=np.uint64)
-        return tuple(float(self._labels_from_codes(codes, i)[0]) for i in range(3))
+            state = (4 * state - 3 * seed + (d - 1) * _GOLDEN3) & _M64
+        state = np.array([state], dtype=np.uint64)
+        return tuple(float(_label_uniforms(state, i)[0]) for i in range(3))
 
 
 def g_apply(x: float, y: float, f1, f2, f3, f4, s: float) -> float:
@@ -135,9 +133,12 @@ def g_apply(x: float, y: float, f1, f2, f3, f4, s: float) -> float:
 
 
 def _label_uniforms(state: np.ndarray, family: int, z=None, t=None):
-    """Uniform in (0, 1) from the splitmix64 finalizer of the label counter.
+    """Uniform in (0, 1) from the splitmix64 finalizer of a box's counter state.
 
-    state = (3 code + family) * GOLDEN + seed: the counter 3 code + family is
+    The root's state is seed + G3, and child j (0..3) of a box with state x
+    has state 4 x - 3 seed + j G3 (mod 2^64): that is c G3 + seed, for c the
+    box's base-4 heap code (root 1, children of c are 4c + j).  Family f
+    hashes state + f GOLDEN = (3 c + f) GOLDEN + seed; the counter 3 c + f is
     injective over (address, family) pairs, so no two labels in a run ever
     share a generator state.  The hash runs in place in the uint64 scratch
     arrays ``z`` and ``t`` of state's shape, allocated when not given.
@@ -351,58 +352,64 @@ def simulate_many(n: int, s: float, master_seed: int, reps: int,
     Entry r equals simulate_pointwise(n, s, LimitEnvironment(env_seed(seed,
     start + r))) exactly.
     """
-    if reps < 0:
-        raise ValueError(f"reps must be >= 0, got {reps}")
-    seeds = _env_seeds_arr(master_seed, np.arange(start, start + reps, dtype=np.uint64))
-    return _crossing_sums(n, s, seeds, two_d)
+    return _crossing_sums(n, s, _env_seeds(master_seed, start, reps), two_d)
+
+
+def _diagnostics(n: int, seeds: np.ndarray):
+    """(W_n, L_n) arrays with one entry per environment seed: the largest cell
+    x-width at level n and the smallest gap between distinct vertical
+    boundaries (0, 1 and the splits of every box above level n).
+
+    Every box splits into its four children a level at a time, in batches of
+    rows that hold at most _BOX_BUDGET level-n cells (one row when a row alone
+    has more).  Level n itself is not built: its widths are the two parts of
+    each level n-1 box.
+    """
+    if n < 0:
+        raise ValueError(f"depth must be >= 0, got {n}")
+    if n > _MAX_ENUM_DEPTH:
+        raise CapExceededError(f"depth {n} exceeds cap {_MAX_ENUM_DEPTH}")
+    wn = np.ones(seeds.shape[0])
+    ln = np.empty(seeds.shape[0])
+    rows = max(1, _BOX_BUDGET >> 2 * n)
+    digits = np.arange(4, dtype=np.uint64).reshape(4, 1) * np.uint64(_GOLDEN3)
+    for lo in range(0, seeds.shape[0], rows):
+        seed = seeds[lo:lo + rows].reshape(-1, 1)
+        m = seed.shape[0]
+        state, seed_off = seed + np.uint64(_GOLDEN3), seed * np.uint64(_M64 - 2)
+        x_lo = np.zeros((m, 1))
+        width = np.ones((m, 1))
+        bounds = np.empty((m, 2 + (4**n - 1) // 3))
+        bounds[:, :2] = (0.0, 1.0)
+        for level in range(n):
+            if level:  # the children in digit-major order: block j holds digit j
+                state = ((4 * state + seed_off)[:, None] + digits).reshape(m, -1)
+                x_lo = np.concatenate((x_lo, x_lo, split, split), axis=1)
+                width = np.concatenate((w_left, w_left, w_right, w_right), axis=1)
+            w_left = width * _label_uniforms(state, 0)
+            split = x_lo + w_left
+            w_right = width - w_left
+            first = 2 + (4**level - 1) // 3
+            bounds[:, first:first + 4**level] = split
+        if n:
+            wn[lo:lo + m] = np.maximum(w_left.max(axis=1), w_right.max(axis=1))
+        bounds.sort(axis=1)
+        gaps = np.diff(bounds, axis=1)
+        ln[lo:lo + m] = np.min(gaps, axis=1, where=gaps > 0.0, initial=np.inf)
+    return wn, ln
 
 
 def diagnostics(n: int, env: LimitEnvironment):
     """(W_n, L_n): max cell x-width at level n and min gap between distinct
     vertical-boundary x-coordinates, over the full 4^n-cell enumeration."""
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if n > _MAX_ENUM_DEPTH:
-        raise CapExceededError(f"depth {n} exceeds cap {_MAX_ENUM_DEPTH}")
-    codes = np.array([_ROOT_CODE], dtype=np.uint64)
-    x_lo = np.array([0.0])
-    width = np.array([1.0])
-    boundaries = [np.array([0.0, 1.0])]
-    for _ in range(n):
-        U = env._labels_from_codes(codes, 0)
-        split = x_lo + width * U
-        boundaries.append(split)
-        m = codes.shape[0]
-        codes_next = np.empty(4 * m, dtype=np.uint64)
-        base = codes * np.uint64(4)
-        for j in range(4):
-            codes_next[j::4] = base + np.uint64(j)
-        x_next = np.empty(4 * m)
-        w_next = np.empty(4 * m)
-        w_left = width * U
-        x_next[0::4] = x_lo
-        x_next[1::4] = x_lo
-        x_next[2::4] = split
-        x_next[3::4] = split
-        w_next[0::4] = w_left
-        w_next[1::4] = w_left
-        w_next[2::4] = width - w_left
-        w_next[3::4] = width - w_left
-        codes, x_lo, width = codes_next, x_next, w_next
-    wn = float(np.max(width))
-    all_b = np.unique(np.concatenate(boundaries))
-    ln = float(np.min(np.diff(all_b))) if all_b.size > 1 else 1.0
-    return wn, ln
+    wn, ln = _diagnostics(n, np.array([env.seed & _M64], dtype=np.uint64))
+    return float(wn[0]), float(ln[0])
 
 
 def diagnostics_many(n: int, master_seed: int, reps: int, start: int = 0):
     """(W_n, L_n) arrays across independent environments with indices
     start .. start+reps-1."""
-    wn = np.empty(reps)
-    ln = np.empty(reps)
-    for i in range(reps):
-        wn[i], ln[i] = diagnostics(n, LimitEnvironment(env_seed(master_seed, start + i)))
-    return wn, ln
+    return _diagnostics(n, _env_seeds(master_seed, start, reps))
 
 
 def fill_up_level(tree: QuadTree) -> int:

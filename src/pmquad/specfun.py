@@ -9,7 +9,7 @@ asymptotics together for quadtrees and both 2-d tree query flavors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 __all__ = [
@@ -115,25 +115,8 @@ class ConstantSet:
     K4_perp: float
 
     def as_rows(self):
-        """(name, value) pairs in a fixed order, for CSV emission."""
-        return [
-            ("beta", self.beta),
-            ("kappa", self.kappa),
-            ("K1", self.K1),
-            ("c2", self.c2),
-            ("K2", self.K2),
-            ("K3", self.K3),
-            ("K4", self.K4),
-            ("mean_z_xi", self.mean_z_xi),
-            ("kappa_par", self.kappa_par),
-            ("kappa_perp", self.kappa_perp),
-            ("K1_par", self.K1_par),
-            ("K1_perp", self.K1_perp),
-            ("K2_perp", self.K2_perp),
-            ("K3_perp", self.K3_perp),
-            ("K4_par", self.K4_par),
-            ("K4_perp", self.K4_perp),
-        ]
+        """(name, value) pairs in field order, for CSV emission."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 @lru_cache(maxsize=1)

@@ -248,6 +248,32 @@ class TestOutputFiles:
         data = path.read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data
 
+    def test_empty_table_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "z.csv"
+        code, out, err = run_cli(["--out", str(path), "simulate-limit", "--grid", "0"], capsys)
+        assert code == 2 and out == ""
+        assert err == "invalid arguments: the command yields no rows\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-limit", "--depth", "4", "--s", "0.5", "--replications", "0"],
+            ["simulate-limit", "--depth", "4", "--grid", "0"],
+            ["--out", "{tmp}/missing/dir/x.csv", "constants"],
+            ["--out", "{tmp}", "constants"],
+        ],
+        ids=["no-replications", "empty-grid", "missing-dir", "out-is-dir"],
+    )
+    def test_usage_errors_exit_2_without_traceback(self, tmp_path, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmquad.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
+
     def test_installed_entry_point_runs(self, tmp_path):
         # exercise the real subprocess path once
         proc = subprocess.run(
@@ -283,8 +309,9 @@ class TestThreadIndependence:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# The serial replication loops of simulate-cost and diagnostics as they stood
-# before both moved onto the harness's block scheduler, kept as oracles.
+# The serial replication loops of simulate-cost and diagnostics, and the one
+# simulate_many call of simulate-limit, as they stood before each moved onto
+# the harness's block scheduler, kept as oracles.
 def _oracle_simulate_cost(args) -> Table:
     rows = []
     for r in range(args.replications):
@@ -318,6 +345,15 @@ def _oracle_diagnostics(args) -> Table:
             row.append(limitproc.fill_up_level_xy(xs, ys))
         rows.append(tuple(row))
     return Table(columns=columns, rows=rows, meta={"seed": args.seed, "depth": args.depth})
+
+
+def _oracle_simulate_limit(args) -> Table:
+    vals = limitproc.simulate_many(
+        args.depth, args.s, args.seed, args.replications, two_d=args.variant == "kd"
+    )
+    rows = list(enumerate(vals.tolist()))
+    return Table(columns=["replication", "value"],
+                 rows=rows, meta={"seed": args.seed, "depth": args.depth})
 
 
 def _oracle_bytes(oracle, argv) -> str:
@@ -355,6 +391,15 @@ class TestBlockScheduledCommands:
         assert code == 0
         assert out == _oracle_bytes(_oracle_diagnostics, argv)
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("variant", ["quad", "kd"])
+    def test_simulate_limit_bytes(self, capsys, threads, variant):
+        argv = ["--seed", "5", "simulate-limit", "--depth", "7", "--s", "0.3",
+                "--variant", variant, "--replications", "600"]
+        code, out, _ = run_cli(["--threads", threads] + argv, capsys)
+        assert code == 0
+        assert out == _oracle_bytes(_oracle_simulate_limit, argv)
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("where", ["global", "subcommand", "config"])
     def test_threads_below_one_is_usage_error(self, capsys, tmp_path, value, where):
@@ -372,7 +417,8 @@ class TestBlockScheduledCommands:
         assert exc.value.code == 2
         assert "--threads: must be >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["simulate-cost", "--n", "5"], ["diagnostics"]])
+    @pytest.mark.parametrize("command", [["simulate-cost", "--n", "5"], ["diagnostics"],
+                                         ["simulate-limit", "--depth", "4", "--s", "0.5"]])
     def test_no_replications_is_usage_error(self, capsys, command):
         code, out, err = run_cli(command + ["--replications", "0"], capsys)
         assert code == 2 and out == ""

@@ -1,10 +1,11 @@
-"""The budgeted crossing-box kernel and apply_K's cached geometry against the
-code they replaced.
+"""The budgeted crossing-box kernel, the batched diagnostics kernel and
+apply_K's cached geometry against the code they replaced.
 
 ``reference_expand`` is the breadth-first expansion ``_expand_crossing`` that
-held all reps x 2^n boxes at once, and ``reference_apply_k`` the per-grid-point
-loop over ``_edge_integral``; both are kept verbatim (with their helpers) as
-the reference oracles.  Every comparison is bit for bit.  Shrinking
+held all reps x 2^n boxes at once, ``reference_diagnostics`` the per-environment
+enumeration of all 4^n cells by heap code, and ``reference_apply_k`` the
+per-grid-point loop over ``_edge_integral``; all are kept verbatim (with their
+helpers) as the reference oracles.  Every comparison is bit for bit.  Shrinking
 ``_BOX_BUDGET`` makes small depths run the split-level and multi-batch paths.
 """
 
@@ -22,6 +23,8 @@ from pmquad.errors import CapExceededError
 from pmquad.limitproc import (
     LimitEnvironment,
     crossing_boxes,
+    diagnostics,
+    diagnostics_many,
     env_seed,
     simulate_many,
     simulate_path,
@@ -122,6 +125,41 @@ def reference_many(n, s, master_seed, reps, two_d=False, start=0):
 
 def reference_point(n, s, env, two_d=False):
     return float(reference_expand(n, s, np.array([env.seed], dtype=np.uint64), two_d)[0])
+
+
+def reference_diagnostics(n: int, seed: int):
+    """(W_n, L_n) of one environment: every cell's code, x-offset and width, in
+    interleaved order (the children of code c are codes 4c + 0 .. 4c + 3)."""
+    seeds_col = np.array([[seed & _M64]], dtype=np.uint64)
+    codes = np.array([_ROOT_CODE], dtype=np.uint64)
+    x_lo = np.array([0.0])
+    width = np.array([1.0])
+    boundaries = [np.array([0.0, 1.0])]
+    for _ in range(n):
+        U = _label_uniforms(codes.reshape(1, -1) * np.uint64(_GOLDEN3) + seeds_col, 0)[0]
+        split = x_lo + width * U
+        boundaries.append(split)
+        m = codes.shape[0]
+        codes_next = np.empty(4 * m, dtype=np.uint64)
+        base = codes * np.uint64(4)
+        for j in range(4):
+            codes_next[j::4] = base + np.uint64(j)
+        x_next = np.empty(4 * m)
+        w_next = np.empty(4 * m)
+        w_left = width * U
+        x_next[0::4] = x_lo
+        x_next[1::4] = x_lo
+        x_next[2::4] = split
+        x_next[3::4] = split
+        w_next[0::4] = w_left
+        w_next[1::4] = w_left
+        w_next[2::4] = width - w_left
+        w_next[3::4] = width - w_left
+        codes, x_lo, width = codes_next, x_next, w_next
+    wn = float(np.max(width))
+    all_b = np.unique(np.concatenate(boundaries))
+    ln = float(np.min(np.diff(all_b))) if all_b.size > 1 else 1.0
+    return wn, ln
 
 
 def _edge_integral(sigma: float, grid: np.ndarray, vals: np.ndarray, b: float) -> float:
@@ -258,6 +296,64 @@ class TestBatchedKernelEdges:
         assert simulate_many(6, 0.5, 3, 0, two_d=True).shape == (0,)
 
 
+def test_labels_at_heap_code():
+    for seed in (0, 3, 2**64 - 1):
+        for address in ((), (1,), (4,), (2, 3), (4, 1, 3, 2, 2, 4), (3,) * 31):
+            code = _ROOT_CODE
+            for d in address:
+                code = 4 * code + d - 1
+            state = np.array([code], dtype=np.uint64) * np.uint64(_GOLDEN3) + np.uint64(seed)
+            want = tuple(float(_label_uniforms(state, f)[0]) for f in range(3))
+            assert LimitEnvironment(seed).labels_at(address) == want
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("depth", range(8))
+    def test_one_environment(self, budget, depth):
+        for seed in (0, 3, 2**64 - 1):
+            assert diagnostics(depth, LimitEnvironment(seed)) == reference_diagnostics(depth, seed)
+
+    @pytest.mark.parametrize("depth", range(8))
+    def test_many_environments(self, budget, depth):
+        # under budget64, 21 rows span several batches of 64 >> 2n rows, and
+        # from depth 4 on each batch is one row that alone exceeds the budget
+        wn, ln = diagnostics_many(depth, 2024, 21, start=300)
+        want = [reference_diagnostics(depth, env_seed(2024, 300 + r)) for r in range(21)]
+        assert np.array_equal(wn, [w for w, _ in want])
+        assert np.array_equal(ln, [l for _, l in want])
+
+    def test_empty_and_caps(self, monkeypatch):
+        wn, ln = diagnostics_many(5, 1, 0)
+        assert wn.shape == ln.shape == (0,)
+        with pytest.raises(ValueError, match="reps must be >= 0"):
+            diagnostics_many(5, 1, -1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            diagnostics_many(-1, 1, 3)
+        monkeypatch.setattr(limitproc, "_label_uniforms", None)  # no work past the cap
+        with pytest.raises(CapExceededError, match="depth 13"):
+            diagnostics_many(13, 1, 3)
+
+
+def _peak_rss_mib(code: str) -> float:
+    """Peak RSS of a fresh interpreter running ``code`` against this pmquad."""
+    src = str(Path(pmquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024  # MiB (ru_maxrss is in KiB on Linux)
+
+
+def test_depth_12_diagnostics_memory():
+    # the per-environment heap-code enumeration peaked at about 695 MiB
+    code = (
+        "from pmquad.limitproc import diagnostics_many\n"
+        "wn, ln = diagnostics_many(12, 0, 1)\n"
+        "assert 0.0 < ln[0] < wn[0] < 1.0\n"
+    )
+    assert _peak_rss_mib(code) < 450
+
+
 def test_depth_20_memory_stays_within_the_box_budget():
     # the full breadth-first expansion needed about 380 MiB here
     code = (
@@ -266,12 +362,7 @@ def test_depth_20_memory_stays_within_the_box_budget():
         "v = simulate_many(20, 0.4, 2024, 4)\n"
         "assert v.shape == (4,) and np.all(np.isfinite(v))\n"
     )
-    src = str(Path(pmquad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert usage.ru_maxrss / 1024 < 150  # MiB (ru_maxrss is in KiB on Linux)
+    assert _peak_rss_mib(code) < 150
 
 
 @pytest.mark.parametrize("grid", [make_grid(), make_grid(300, graded=True),

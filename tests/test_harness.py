@@ -10,7 +10,6 @@ from pmquad import harness, limitproc
 from pmquad.errors import CapExceededError
 from pmquad.harness import (
     ExperimentSpec,
-    RngStream,
     Table,
     aggregate,
     emit_csv,
@@ -87,26 +86,6 @@ class TestEmission:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
             emit_csv(Table(columns=["a"], rows=[], meta={}), io.StringIO())
-
-
-class TestRngStreams:
-    def test_stream_determinism(self):
-        a = RngStream(9, 4).generator().random(5)
-        b = RngStream(9, 4).generator().random(5)
-        assert np.array_equal(a, b)
-
-    def test_streams_differ(self):
-        a = RngStream(9, 4).generator().random(5)
-        b = RngStream(9, 5).generator().random(5)
-        assert not np.array_equal(a, b)
-
-    def test_lag_one_cross_correlation_null(self):
-        m = 4000
-        firsts = np.array(
-            [RngStream(123, r).generator().random() for r in range(m)]
-        )
-        corr = np.corrcoef(firsts[:-1], firsts[1:])[0, 1]
-        assert abs(corr) < 4.0 / math.sqrt(m)
 
 
 class TestBlockStreams:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,3 +156,10 @@ class TestConstants:
     def test_csv_rows_cover_all_fields(self):
         rows = self.c.as_rows()
         assert len(rows) == len(ConstantSet.__dataclass_fields__)
+        # field order is the row order of `pmquad constants`
+        names = [name for name, _ in rows]
+        assert names == [f.name for f in dataclasses.fields(ConstantSet)]
+        assert names == ["beta", "kappa", "K1", "c2", "K2", "K3", "K4", "mean_z_xi",
+                         "kappa_par", "kappa_perp", "K1_par", "K1_perp", "K2_perp",
+                         "K3_perp", "K4_par", "K4_perp"]
+        assert all(value == getattr(self.c, name) for name, value in rows)
