@@ -632,6 +632,8 @@ def _validate(spec: ExperimentSpec) -> None:
     for n in spec.sizes:
         if n < 0:
             raise ValueError(f"sizes must be >= 0, got {n}")
+        if n > quadtree._MAX_POINTS:
+            raise CapExceededError(f"size {n} exceeds cap {quadtree._MAX_POINTS}")
     if spec.kind in ("mean-profile", "kd-mean") and len(spec.sizes) != 1:
         raise ValueError(f"{spec.kind} takes exactly one size")
 

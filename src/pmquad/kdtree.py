@@ -16,7 +16,7 @@ from .quadtree import (
     _KD_V,
     _check_general_position,
     _check_query,
-    _node_extents,
+    _profile_xy,
     _slice_cost,
     profile,
 )
@@ -199,5 +199,4 @@ def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:
 def profile_xy(xs, ys, root_axis: str = VERTICAL) -> StepProfile:
     """kd_profile(build_kd(points, root_axis)) of the points (xs, ys), without
     building nodes: the quadtree's level-wise kernel under the 2-d tree rule."""
-    x0, x1, _ = _node_extents(xs, ys, _rule(root_axis))
-    return StepProfile.from_extents(x0, x1)
+    return _profile_xy(xs, ys, _rule(root_axis))

@@ -82,11 +82,12 @@ def env_seed(master_seed: int, index: int) -> int:
 
 
 def _env_seeds(master_seed: int, start: int, reps: int) -> np.ndarray:
-    """env_seed(master_seed, i) for i in start .. start+reps-1, as uint64."""
+    """env_seed(master_seed, i) for i in start .. start+reps-1, as uint64;
+    indices wrap mod 2^64 as in ``env_seed``, so any int ``start`` works."""
     if reps < 0:
         raise ValueError(f"reps must be >= 0, got {reps}")
     base = _mix64_int((master_seed & _M64) ^ _GOLDEN)
-    idx = np.arange(start, start + reps, dtype=np.uint64)
+    idx = np.uint64(start & _M64) + np.arange(reps, dtype=np.uint64)
     return _mix64_arr(np.uint64(base) + idx * np.uint64(_GOLDEN))
 
 
@@ -423,7 +424,7 @@ def fill_up_level(tree: QuadTree) -> int:
 def fill_up_level_xy(xs, ys) -> int:
     """fill_up_level(build(points)) of the points (xs, ys), from the node
     counts per depth of the level-wise kernel."""
-    return _full_levels(_node_extents(xs, ys, _QUAD)[2])
+    return _full_levels(_node_extents(xs, ys, _QUAD)[3])
 
 
 def _full_levels(counts) -> int:

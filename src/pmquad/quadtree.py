@@ -12,9 +12,11 @@ the exact per-point update skip the many points that cannot cross.
 The whole profile s -> cost comes from every node's cell x-extent.
 ``profile_xy`` (and ``kdtree.profile_xy``) get those extents from one
 level-wise kernel on arrays, which partitions the pending points a depth at a
-time instead of inserting them one by one, and ``StepProfile.from_extents``
-turns them into the step function with one sort and a cumulative sum.  The
-linked ``QuadNode`` trees from ``build`` remain as the reference."""
+time instead of inserting them one by one.  It works on x-ranks, so each
+extent is a pair of ranks; +1 at every left rank and -1 at every right rank,
+counted in sorted-x order and summed, is the step function, with no sort of
+the extents.  The linked ``QuadNode`` trees from ``build`` remain as the
+reference."""
 
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .errors import DuplicateCoordinateError
+from .errors import CapExceededError, DuplicateCoordinateError
 from .geom import Cell, Point2, StepProfile
 
 __all__ = [
@@ -46,6 +48,10 @@ __all__ = [
 
 # children are ordered bottom-left, top-left, bottom-right, top-right
 _BL, _TL, _BR, _TR = 0, 1, 2, 3
+
+# Points per sampled tree.  profile_xy peaks at about 98 B/point on top of
+# the inputs' 16 (traced at 1e6 and 4e6 points): about 2 GB at the cap.
+_MAX_POINTS = 1 << 24
 
 
 class QuadNode:
@@ -134,9 +140,12 @@ def build(points) -> QuadTree:
 
 
 def sample_uniform_xy(n: int, rng) -> tuple:
-    """n i.i.d. uniform coordinates as (xs, ys) arrays; cheap form of sampling."""
+    """n i.i.d. uniform coordinates as (xs, ys) arrays; cheap form of sampling.
+    Raises CapExceededError above ``_MAX_POINTS``, before allocating."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if n > _MAX_POINTS:
+        raise CapExceededError(f"{n} points exceed the cap of {_MAX_POINTS} per tree")
     return rng.random(n), rng.random(n)
 
 
@@ -301,60 +310,61 @@ def line_cost(xs, ys, s: float, x_lo: float = 0.0, x_hi: float = 1.0) -> int:
 
 
 def _node_extents(xs, ys, rule: int) -> tuple:
-    """(x0, x1, counts) of the tree the points (xs, ys) build in arrival order
-    from the unit-square root under ``rule``: every node's cell x-extent
-    [x0, x1), and the number of nodes at each depth.
+    """(x0, x1, pos, counts) of the tree the points (xs, ys) build in arrival
+    order from the unit-square root under ``rule``: ``pos`` is 0.0, the sorted
+    x's and 1.0, node i's cell x-extent is [pos[x0[i]], pos[x1[i]]), and
+    counts[d] is the number of nodes at depth d.  Checks input as ``build`` does.
 
-    Builds the tree a level at a time.  The pending points stay sorted by
-    (cell, arrival); the first point of each cell's run is that cell's node,
-    and every later point moves to the node's child cell (x >= node x goes
-    right and y >= node y goes top, as in ``QuadNode.child_index``).  Input
-    is checked as ``build`` checks its points.
-    """
+    Works a level at a time on x-ranks (x >= node x iff rank >= node rank, as
+    no x repeats).  Each cell's pending points are a run in arrival order: the
+    first is the cell's node, the rest go to its children (right at x >= node
+    x, top at y >= node y), numbered child-major for a radix sort by digit."""
     xs, ys = _coords(xs, ys)
-    outside = ~((0.0 <= xs) & (xs <= 1.0) & (0.0 <= ys) & (ys <= 1.0))
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise ValueError(f"point ({float(xs[i])}, {float(ys[i])}) outside the unit square")
-    if any(np.any(a[1:] == a[:-1]) for a in (np.sort(xs), np.sort(ys))):
-        # raises, naming the first point that repeats a coordinate
-        _check_general_position(Point2(x, y, i) for i, (x, y) in enumerate(zip(xs, ys)))
-    n = xs.size
-    x0, x1 = np.empty(n), np.empty(n)
-    counts = []
-    x, y, lo, hi = xs, ys, np.zeros(n), np.ones(n)
-    cell = np.zeros(n, dtype=np.intp)
-    done = 0
-    while x.size:
+    n, order, sy = xs.size, np.argsort(xs), np.sort(ys)
+    pos = np.concatenate(([0.0], xs[order], [1.0]))
+    sx = pos[1:-1]
+    if n and not (0.0 <= sx[0] and sx[-1] <= 1.0 and 0.0 <= sy[0] and sy[-1] <= 1.0) or any(
+        np.any(a[1:] == a[:-1]) for a in (sx, sy)
+    ):  # raises, naming the first point outside the square, else the first repeat
+        _check_general_position(list(map(Point2, xs.tolist(), ys.tolist(), range(n))))
+    r, y, cell = np.empty(n, dtype=np.intp), ys, np.zeros(n, dtype=np.intp)
+    r[order] = np.arange(1, n + 1)
+    lo, hi = np.zeros(1, dtype=np.intp), np.full(1, n + 1, dtype=np.intp)  # x-ranks by cell
+    x0, x1, counts = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), []
+    while r.size:
         head = np.concatenate(([True], cell[1:] != cell[:-1]))
-        run = np.cumsum(head) - 1  # the cell run of each pending point
-        k = int(run[-1]) + 1
-        x0[done : done + k] = lo[head]
-        x1[done : done + k] = hi[head]
-        counts.append(k)
-        done += k
-        rest = np.flatnonzero(~head)
-        run = run[rest]
-        hx, hy = x[head][run], y[head][run]  # the node each point passes
-        x, y, lo, hi = x[rest], y[rest], lo[rest], hi[rest]
-        cell = 4 * run  # + the child's place: ids number the cells afresh, below 4n
-        if rule != _KD_H:  # split at hx: narrow the x-extent
-            right = x >= hx
-            lo = np.where(right, hx, lo)
-            hi = np.where(right, hi, hx)
-            cell += 2 * right
-        if rule != _KD_V:  # split at hy
-            cell += y >= hy
-        rule = _AFTER[rule]
-        order = np.argsort(cell, kind="stable")
-        x, y, lo, hi, cell = x[order], y[order], lo[order], hi[order], cell[order]
-    return x0, x1, counts
+        run = head.cumsum() - 1  # the cell run of each pending point
+        k, at = run[-1] + 1, head.nonzero()[0]
+        lo, hi, hr, hy = lo[cell[at]], hi[cell[at]], r[at], y[at]  # hr, hy: the nodes'
+        x0[r.size - k : r.size], x1[r.size - k : r.size] = lo, hi  # deepest level first
+        counts.append(int(k))
+        digit = 0
+        if rule != _KD_H:  # split at the node's x: the right children follow the left ones
+            digit = (r >= hr[run]).view(np.uint8)
+            lo, hi = np.concatenate((lo, hr)), np.concatenate((hr, hi))
+        if rule != _KD_V:  # split at its y: the top children follow all the bottom ones
+            digit = digit + (y >= hy[run]).view(np.uint8) * np.uint8(lo.size // k)
+            lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
+        digit[at], rule = 4, _AFTER[rule]  # the nodes sort last and drop out
+        order = digit.argsort(kind="stable")[: r.size - k]
+        cell, r, y = (run + k * digit)[order], r[order], y[order]
+    return x0, x1, pos, counts
+
+
+def _profile_xy(xs, ys, rule: int) -> StepProfile:
+    """The tree's profile from +1 at each node's x0 rank and -1 at its x1 rank:
+    the jumps come in sorted-x order and merge as in ``StepProfile.from_extents``."""
+    x0, x1, pos, _ = _node_extents(xs, ys, rule)
+    jump = np.bincount(x0, minlength=pos.size) - np.bincount(x1, minlength=pos.size)
+    zero = pos == 0.0  # the root's left edge, and a point at 0.0 or -0.0
+    step = ~zero & (pos < 1.0) & (jump != 0)
+    values = np.cumsum(np.concatenate(([jump[zero].sum()], jump[step])))
+    return StepProfile(np.concatenate(([0.0], pos[step])), values)
 
 
 def profile_xy(xs, ys) -> StepProfile:
     """profile(build(points)) of the points (xs, ys), without building nodes."""
-    x0, x1, _ = _node_extents(xs, ys, _QUAD)
-    return StepProfile.from_extents(x0, x1)
+    return _profile_xy(xs, ys, _QUAD)
 
 
 def sample_extension_xy(t: float, eps: float, rng) -> tuple:
@@ -366,10 +376,8 @@ def sample_extension_xy(t: float, eps: float, rng) -> tuple:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if t < 0.0:
         raise ValueError(f"intensity budget t must be >= 0, got {t}")
-    n = int(rng.poisson(t * (1.0 + eps)))
-    xs = rng.random(n) * (1.0 + eps) - eps
-    ys = rng.random(n)
-    return xs, ys
+    xs, ys = sample_uniform_xy(int(rng.poisson(t * (1.0 + eps))), rng)
+    return xs * (1.0 + eps) - eps, ys
 
 
 def coupled_extension_cost(xs, ys, eps: float, s: float):

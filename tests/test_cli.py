@@ -274,6 +274,23 @@ class TestOutputFiles:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-cost", "--n", "400000000", "--replications", "1"],
+            ["experiment", "--kind", "poisson-mean", "--t", "1e12", "--replications", "1"],
+            ["profile", "--n", "400000000"],
+        ],
+        ids=["simulate-cost", "poisson-mean", "profile"],
+    )
+    def test_points_above_cap_exit_3_without_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmquad.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("cap exceeded: ") and proc.stdout == ""
+
     def test_installed_entry_point_runs(self, tmp_path):
         # exercise the real subprocess path once
         proc = subprocess.run(

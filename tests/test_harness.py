@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pmquad import harness, limitproc
+from pmquad import harness, limitproc, quadtree
 from pmquad.errors import CapExceededError
 from pmquad.harness import (
     ExperimentSpec,
@@ -217,6 +217,17 @@ class TestRunExperiment:
         monkeypatch.setattr(limitproc, "simulate_many", expand)
         with pytest.raises(CapExceededError, match="depth 6 exceeds cap 5"):
             run_experiment(ExperimentSpec(kind="limit-moments", depth=6))
+
+    @pytest.mark.parametrize("kind", ["mean-profile", "supremum", "variance-uniform-query"])
+    def test_size_cap_is_quadtree_constant(self, monkeypatch, kind):
+        # the spec is refused before any point is drawn
+        def sample(*args, **kwargs):
+            raise AssertionError("points were drawn past the cap")
+
+        monkeypatch.setattr(quadtree, "_MAX_POINTS", 10)
+        monkeypatch.setattr(quadtree, "sample_uniform_xy", sample)
+        with pytest.raises(CapExceededError, match="size 11 exceeds cap 10"):
+            run_experiment(ExperimentSpec(kind=kind, sizes=(11,), replications=1))
 
     def test_mean_profile_columns(self):
         spec = ExperimentSpec(

@@ -139,6 +139,16 @@ class TestSimulatePointwise:
         tail = simulate_many(6, 0.3, 9, 100, start=400)
         assert np.array_equal(full[400:], tail)
 
+    @pytest.mark.parametrize("start", [-2, 2**64 - 1])
+    def test_start_wraps_like_env_seed(self, start):
+        # indices are taken mod 2^64, so a block may begin below 0 or cross 2^64
+        vals = simulate_many(5, 0.3, 9, 3, start=start)
+        wn, ln = diagnostics_many(4, 9, 3, start=start)
+        for r in range(3):
+            env = LimitEnvironment(env_seed(9, start + r))
+            assert vals[r] == simulate_pointwise(5, 0.3, env)
+            assert (wn[r], ln[r]) == diagnostics(4, env)
+
 
 class TestCrossingBoxes:
     def test_exactly_two_to_the_n_boxes(self):

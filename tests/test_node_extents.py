@@ -1,8 +1,9 @@
 """The level-wise node kernel against the object trees it replaced.
 
 ``quadtree.build`` and ``kdtree.build_kd`` insert one point at a time into
-linked nodes; they are the reference for ``quadtree._node_extents`` and the
-``profile_xy`` wrappers on it.  ``reference_from_events`` is the dict-based
+linked nodes; they are the reference for ``quadtree._node_extents`` (which
+works on x-ranks) and the ``profile_xy`` wrappers that sum its rank jumps.
+``reference_from_events`` is the dict-based
 ``StepProfile.from_events`` from before ``from_extents`` existed, kept
 verbatim as the reference for the sort-and-cumsum canonical form.
 """
@@ -72,7 +73,7 @@ def reference_from_events(events):
 @st.composite
 def point_sets(draw):
     """(xs, ys): uniform points, some snapped to coarse grids (so coordinates
-    repeat) and some moved to the square's edges 0.0 and 1.0."""
+    repeat) and some moved to the square's edges 0.0, -0.0 and 1.0."""
     n = draw(st.one_of(st.sampled_from((0, 1, 2, 3, 4, 5, 300)), st.integers(0, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs, ys = rng.random(n), rng.random(n)
@@ -82,7 +83,7 @@ def point_sets(draw):
         xs[snap] = np.round(xs[snap] * grid) / grid
         ys[snap] = np.round(ys[snap] * grid) / grid
     for a in (xs, ys):
-        for edge in (0.0, 1.0):
+        for edge in (0.0, -0.0, 1.0):
             if n and draw(st.booleans()):
                 a[int(rng.integers(n))] = edge
     return xs, ys
@@ -107,15 +108,33 @@ class TestNodeExtentsMatchObjectTrees:
         assert prof.max_segment() == expect.max_segment()
         oracle_sup = quadtree.supremum(tree) if rule == _QUAD else kdtree.kd_supremum(tree)
         assert prof.max_segment() == oracle_sup
-        x0, x1, counts = _node_extents(xs, ys, rule)
+        lo, hi, pos, counts = _node_extents(xs, ys, rule)
+        x0, x1 = pos[lo], pos[hi]
         assert counts == depth_counts(tree)
         assert sorted(zip(x0.tolist(), x1.tolist())) == sorted(
             (node.cell.x0, node.cell.x1) for node in tree.nodes()
         )
 
     @pytest.mark.parametrize("rule", RULES)
+    def test_large_tree(self, rule):
+        rng = np.random.default_rng([20000, rule])
+        xs, ys = rng.random(20000), rng.random(20000)
+        xs[rng.integers(20000)], ys[rng.integers(20000)] = -0.0, 1.0
+        tree = object_tree(xs, ys, rule)
+        prof = profile_xy(xs, ys, rule)
+        assert prof == object_profile(tree)
+        assert prof.max_segment() == (
+            quadtree.supremum(tree) if rule == _QUAD else kdtree.kd_supremum(tree)
+        )
+        lo, hi, pos, counts = _node_extents(xs, ys, rule)
+        assert counts == depth_counts(tree)
+        assert sorted(zip(pos[lo].tolist(), pos[hi].tolist())) == sorted(
+            (node.cell.x0, node.cell.x1) for node in tree.nodes()
+        )
+
+    @pytest.mark.parametrize("rule", RULES)
     def test_empty_input(self, rule):
-        x0, x1, counts = _node_extents([], [], rule)
+        x0, x1, _, counts = _node_extents([], [], rule)
         assert x0.size == x1.size == 0 and counts == []
         assert profile_xy([], [], rule) == StepProfile([0.0], [0])
 
@@ -128,6 +147,17 @@ class TestNodeExtentsMatchObjectTrees:
             xy[axis, 13] = bad
             xy[1 - axis, 3] = xy[1 - axis, 2]  # a repeat must not mask the range error
             with pytest.raises(ValueError, match="outside the unit square"):
+                profile_xy(xy[0], xy[1], rule)
+
+    @pytest.mark.parametrize("rule", RULES)
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, -np.inf, np.inf, np.nan])
+    def test_outside_unit_square_rejected_without_repeats(self, rule, bad):
+        rng = np.random.default_rng(8)
+        for axis in (0, 1):
+            xy = rng.random((2, 20))
+            xy[axis, 13] = bad
+            message = re.escape(f"point ({xy[0, 13]}, {xy[1, 13]}) outside the unit square")
+            with pytest.raises(ValueError, match=message):
                 profile_xy(xy[0], xy[1], rule)
 
     @pytest.mark.parametrize("rule", RULES)
@@ -146,7 +176,7 @@ class TestNodeExtentsMatchObjectTrees:
     def test_degenerate_chain_is_one_node_per_level(self):
         # points on the diagonal in arrival order make a path of length n
         xs = np.linspace(0.0, 1.0, 200)
-        x0, x1, counts = _node_extents(xs, xs, _QUAD)
+        *_, counts = _node_extents(xs, xs, _QUAD)
         assert counts == [1] * 200
         assert quadtree.profile_xy(xs, xs) == quadtree.profile(object_tree(xs, xs, _QUAD))
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmquad.errors import DuplicateCoordinateError
+from pmquad import quadtree
+from pmquad.errors import CapExceededError, DuplicateCoordinateError
 from pmquad.geom import Cell, Point2, StepProfile
 from pmquad.quadtree import (
     QuadTree,
@@ -287,6 +288,44 @@ class TestSampling:
             vals.append(line_cost(xs, ys, float(rng.random())))
         target = c.kappa * t**c.beta - 1.0
         assert abs(np.mean(vals) - target) < 0.05 * target
+
+
+class _SizeOnlyRng:
+    """Gives a fixed size for every Poisson draw and records coordinate draws."""
+
+    def __init__(self, size):
+        self.size, self.drawn = size, []
+
+    def poisson(self, lam):
+        return self.size
+
+    def random(self, n):
+        self.drawn.append(n)
+        return np.full(n, 0.5)
+
+
+class TestPointCap:
+    SAMPLERS = {
+        "uniform": lambda rng: sample_uniform_xy(rng.size, rng),
+        "poisson": lambda rng: sample_poisson_xy(1e12, rng),
+        "extension": lambda rng: sample_extension_xy(1e12, 0.1, rng),
+    }
+
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_refused_after_the_size_and_before_allocating(self, monkeypatch, sampler):
+        monkeypatch.setattr(quadtree, "_MAX_POINTS", 10)
+        rng = _SizeOnlyRng(11)
+        with pytest.raises(CapExceededError, match="11 points exceed the cap of 10"):
+            self.SAMPLERS[sampler](rng)
+        assert rng.drawn == []
+        rng = _SizeOnlyRng(10)
+        xs, ys = self.SAMPLERS[sampler](rng)
+        assert xs.size == ys.size == 10 and rng.drawn == [10, 10]
+
+    def test_cap_is_two_to_the_24(self):
+        assert quadtree._MAX_POINTS == 2**24
+        with pytest.raises(CapExceededError):
+            sample_uniform_xy(2**24 + 1, _SizeOnlyRng(0))
 
 
 class TestLineCost:
