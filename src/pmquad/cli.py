@@ -30,6 +30,7 @@ from .harness import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
     Table,
+    _line_costs,
     _streams,
     emit_csv,
     emit_plot_data,
@@ -208,27 +209,21 @@ def _cmd_second_moment(args) -> Table:
     return Table(columns=["s", "m_n"], rows=rows, meta={"iters": args.iters})
 
 
+def _replicated(block_fn, args, columns, meta) -> Table:
+    """One table of the rows ``block_fn`` gives for each block, in index order."""
+    parts = run_blocks(block_fn, args, args.replications, args.threads)
+    return Table(columns=columns, rows=[r for p in parts for r in p], meta=meta)
+
+
 def _block_simulate_cost(args, lo, hi):
-    rows = []
-    for r, rng in zip(range(lo, hi), _streams((args.seed,), lo, hi)):
-        if args.poisson is not None:
-            n = int(rng.poisson(args.poisson))
-        else:
-            n = args.n
-        xs, ys = quadtree.sample_uniform_xy(n, rng)
-        s = args.s if args.s is not None else float(rng.random())
-        if args.tree == "quad":
-            value = quadtree.line_cost(xs, ys, s)
-        else:
-            value = kdtree.line_cost(xs, ys, s, args.root_axis)
-        rows.append((r, value))
-    return rows
+    root_axis = args.root_axis if args.tree == "kd" else None
+    costs = _line_costs((args.seed,), lo, hi, args.n, args.poisson, args.s, root_axis)
+    return list(zip(range(lo, hi), costs.tolist()))
 
 
 def _cmd_simulate_cost(args) -> Table:
-    parts = run_blocks(_block_simulate_cost, args, args.replications, args.threads)
-    meta = {"seed": args.seed, "tree": args.tree, "generator": "pcg64"}
-    return Table(columns=["replication", "cost"], rows=[r for p in parts for r in p], meta=meta)
+    return _replicated(_block_simulate_cost, args, ["replication", "cost"],
+                       {"seed": args.seed, "tree": args.tree, "generator": "pcg64"})
 
 
 def _cmd_profile(args) -> Table:
@@ -249,9 +244,8 @@ def _block_simulate_limit(args, lo, hi):
 
 def _cmd_simulate_limit(args) -> Table:
     if args.replications is not None:
-        parts = run_blocks(_block_simulate_limit, args, args.replications, args.threads)
-        return Table(columns=["replication", "value"], rows=[r for p in parts for r in p],
-                     meta={"seed": args.seed, "depth": args.depth})
+        return _replicated(_block_simulate_limit, args, ["replication", "value"],
+                           {"seed": args.seed, "depth": args.depth})
     grid = np.linspace(0.0, 1.0, args.grid)
     env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, 0))
     vals = limitproc.simulate_path(args.depth, grid, env, two_d=args.variant == "kd")
@@ -275,9 +269,8 @@ def _cmd_diagnostics(args) -> Table:
     columns = ["replication", "wn", "ln"]
     if args.fill_n is not None:
         columns.append("fillup")
-    parts = run_blocks(_block_diagnostics, args, args.replications, args.threads)
-    return Table(columns=columns, rows=[r for p in parts for r in p],
-                 meta={"seed": args.seed, "depth": args.depth})
+    return _replicated(_block_diagnostics, args, columns,
+                       {"seed": args.seed, "depth": args.depth})
 
 
 def _cmd_experiment(args) -> tuple:

@@ -47,9 +47,6 @@ class Cell:
     def area(self) -> float:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
 
-    def width(self) -> float:
-        return self.x1 - self.x0
-
 
 class StepProfile:
     """Canonical cadlag step function: value v_i on [b_i, b_{i+1}), closed at 1.

@@ -88,8 +88,6 @@ class ExperimentSpec:
     s: float = 0.5
     s_grid: tuple = ()
     seed: int = 0
-    tree: str = "quad"  # quad | kd
-    root_axis: str = "v"
     depth: int = 10
     eps: float = 0.1
     variant: str = "quad"  # limit-moments: quad | kd
@@ -112,26 +110,25 @@ def _fmt(v) -> str:
     return format(float(v), ".12g")
 
 
-def emit_csv(table: Table, fh) -> None:
-    """CSV with '#' metadata lines, a header row, 12 significant digits."""
+def _emit(table: Table, fh, sep: str, header: str) -> None:
+    """'#' metadata lines, ``header`` + the column names, then the rows."""
     if not table.rows:
         raise ValueError("refusing to emit an empty table")
     for k in sorted(table.meta):
         fh.write(f"# {k}={table.meta[k]}\n")
-    fh.write(",".join(table.columns) + "\n")
+    fh.write(header + sep.join(table.columns) + "\n")
     for row in table.rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(sep.join(_fmt(v) for v in row) + "\n")
+
+
+def emit_csv(table: Table, fh) -> None:
+    """CSV with '#' metadata lines, a header row, 12 significant digits."""
+    _emit(table, fh, ",", "")
 
 
 def emit_plot_data(table: Table, fh) -> None:
     """gnuplot-style whitespace-separated columns with a '#' header."""
-    if not table.rows:
-        raise ValueError("refusing to emit an empty table")
-    for k in sorted(table.meta):
-        fh.write(f"# {k}={table.meta[k]}\n")
-    fh.write("# " + " ".join(table.columns) + "\n")
-    for row in table.rows:
-        fh.write(" ".join(_fmt(v) for v in row) + "\n")
+    _emit(table, fh, " ", "# ")
 
 
 def parse_csv(fh) -> Table:
@@ -314,15 +311,29 @@ def _check_mean_profile(spec, table, tol_scale):
     return failures
 
 
-def _block_variance_uniform(spec, lo, hi):
-    sizes = _sizes(spec)
-    out = np.empty((hi - lo, len(sizes)))
-    for j, n in enumerate(sizes):
-        for i, rng in enumerate(_streams((spec.seed, j), lo, hi)):
+def _line_costs(prefix, lo, hi, n=0, t=None, s=None, root_axis=None, suffix=()) -> np.ndarray:
+    """The one definition of a sampled-cost replication's draw order: for each
+    stream [*prefix, r, *suffix], r in lo .. hi-1, draw the size (Poisson(t)
+    when ``t`` is given, else ``n``), the x's, the y's and a uniform query
+    unless ``s`` fixes it; return the quadtree's line costs, or with
+    ``root_axis`` the 2-d tree's."""
+    out = np.empty(hi - lo, dtype=np.int64)
+    for i, rng in enumerate(_streams(prefix, lo, hi, suffix)):
+        if t is None:
             xs, ys = quadtree.sample_uniform_xy(n, rng)
-            xi = float(rng.random())
-            out[i, j] = quadtree.line_cost(xs, ys, xi)
+        else:
+            xs, ys = quadtree.sample_poisson_xy(t, rng)
+        xi = float(rng.random()) if s is None else s
+        if root_axis is None:
+            out[i] = quadtree.line_cost(xs, ys, xi)
+        else:
+            out[i] = kdtree.line_cost(xs, ys, xi, root_axis)
     return out
+
+
+def _block_variance_uniform(spec, lo, hi):
+    costs = [_line_costs((spec.seed, j), lo, hi, n) for j, n in enumerate(_sizes(spec))]
+    return np.column_stack(costs)
 
 
 def _summarize_variance_uniform(spec, values):
@@ -475,14 +486,11 @@ def _check_limit_moments(spec, table, tol_scale):
 
 def _block_coupling(spec, lo, hi):
     out = np.empty((hi - lo, 3))
-    tp = spec.t * (1.0 + spec.eps)
-    sp = (spec.s + spec.eps) / (1.0 + spec.eps)
-    pairs = zip(_streams((spec.seed,), lo, hi), _streams((spec.seed,), lo, hi, (1,)))
-    for i, (rng, rng2) in enumerate(pairs):
+    for i, rng in enumerate(_streams((spec.seed,), lo, hi)):
         xs, ys = quadtree.sample_extension_xy(spec.t, spec.eps, rng)
-        base, ext = quadtree.coupled_extension_cost(xs, ys, spec.eps, spec.s)
-        xs2, ys2 = quadtree.sample_poisson_xy(tp, rng2)
-        out[i] = (base, ext, quadtree.line_cost(xs2, ys2, sp))
+        out[i, :2] = quadtree.coupled_extension_cost(xs, ys, spec.eps, spec.s)
+    out[:, 2] = _line_costs((spec.seed,), lo, hi, t=spec.t * (1.0 + spec.eps),
+                            s=(spec.s + spec.eps) / (1.0 + spec.eps), suffix=(1,))
     return out
 
 
@@ -533,13 +541,9 @@ def _check_coupling(spec, table, tol_scale):
 
 def _block_kd_mean(spec, lo, hi):
     (n,) = _sizes(spec)
-    out = np.empty((hi - lo, 2))
-    for j, axis in enumerate((kdtree.VERTICAL, kdtree.HORIZONTAL)):
-        for i, rng in enumerate(_streams((spec.seed, j), lo, hi)):
-            xs, ys = quadtree.sample_uniform_xy(n, rng)
-            xi = float(rng.random())
-            out[i, j] = kdtree.line_cost(xs, ys, xi, axis)
-    return out
+    axes = (kdtree.VERTICAL, kdtree.HORIZONTAL)
+    costs = [_line_costs((spec.seed, j), lo, hi, n, root_axis=a) for j, a in enumerate(axes)]
+    return np.column_stack(costs)
 
 
 def _summarize_kd_mean(spec, values):
@@ -570,12 +574,7 @@ def _check_kd_mean(spec, table, tol_scale):
 
 
 def _block_poisson_mean(spec, lo, hi):
-    out = np.empty((hi - lo, 1))
-    for i, rng in enumerate(_streams((spec.seed,), lo, hi)):
-        xs, ys = quadtree.sample_poisson_xy(spec.t, rng)
-        xi = float(rng.random())
-        out[i, 0] = quadtree.line_cost(xs, ys, xi)
-    return out
+    return _line_costs((spec.seed,), lo, hi, t=spec.t).reshape(-1, 1)
 
 
 def _summarize_poisson_mean(spec, values):
@@ -630,10 +629,12 @@ def _validate(spec: ExperimentSpec) -> None:
     if spec.kind == "limit-moments" and spec.depth > limitproc._MAX_POINTWISE_DEPTH:
         raise CapExceededError(f"depth {spec.depth} exceeds cap {limitproc._MAX_POINTWISE_DEPTH}")
     for n in spec.sizes:
-        if n < 0:
-            raise ValueError(f"sizes must be >= 0, got {n}")
+        if n < 1:
+            raise ValueError(f"sizes must be >= 1, got {n}")
         if n > quadtree._MAX_POINTS:
             raise CapExceededError(f"size {n} exceeds cap {quadtree._MAX_POINTS}")
+    if spec.kind == "coupling" and spec.eps < 0.0:
+        raise ValueError(f"coupling eps must be >= 0, got {spec.eps}")
     if spec.kind in ("mean-profile", "kd-mean") and len(spec.sizes) != 1:
         raise ValueError(f"{spec.kind} takes exactly one size")
 

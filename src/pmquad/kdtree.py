@@ -33,6 +33,7 @@ __all__ = [
     "kd_supremum",
     "profile_xy",
     "decomposition_check",
+    "vertical_decomposition_check",
     "line_cost",
 ]
 

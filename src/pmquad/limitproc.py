@@ -31,6 +31,7 @@ __all__ = [
     "simulate_pointwise_2d",
     "simulate_path",
     "simulate_many",
+    "crossing_boxes",
     "diagnostics",
     "diagnostics_many",
     "fill_up_level",

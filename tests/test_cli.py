@@ -440,3 +440,41 @@ class TestBlockScheduledCommands:
         code, out, err = run_cli(command + ["--replications", "0"], capsys)
         assert code == 2 and out == ""
         assert "replications must be >= 1" in err
+
+
+class TestRefusedBeforeWork:
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["experiment", "--kind", "supremum", "--n", "0", "--replications", "2"],
+             "sizes must be >= 1, got 0"),
+            (["experiment", "--kind", "mean-profile", "--n", "0", "--replications", "2"],
+             "sizes must be >= 1, got 0"),
+            (["experiment", "--kind", "variance-uniform-query", "--n", "0",
+              "--replications", "2"], "sizes must be >= 1, got 0"),
+            (["experiment", "--kind", "coupling", "--eps", "-1"],
+             "coupling eps must be >= 0, got -1.0"),
+            (["simulate-cost", "--poisson", "-1", "--replications", "2"],
+             "intensity budget t must be >= 0, got -1.0"),
+        ],
+        ids=["supremum", "mean-profile", "variance-uniform-query", "coupling-eps",
+             "poisson-budget"],
+    )
+    def test_usage_error_exit_2_without_traceback(self, argv, err):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmquad.cli", *argv], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"invalid arguments: {err}\n" and proc.stdout == ""
+
+    def test_operator_grid_above_cap_exits_3_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmquad.cli", "second-moment", "--iters", "1",
+             "--grid", "3000000"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "cap exceeded: grid of 3000002 points exceeds cap 16384\n"
+        assert proc.stdout == ""

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pmquad import harness, limitproc, quadtree
+from pmquad import harness, kdtree, limitproc, quadtree
 from pmquad.errors import CapExceededError
 from pmquad.harness import (
     ExperimentSpec,
@@ -287,3 +287,102 @@ class TestRunExperiment:
         assert run_check(spec, table) == []
         failures = run_check(spec, table, tol_scale=1e-9)
         assert failures and all("mean" in f for f in failures)
+
+
+# The per-kind replication loops of variance-uniform-query, kd-mean,
+# poisson-mean and coupling as they stood before they were folded into
+# harness._line_costs, kept verbatim as oracles.
+def _oracle_block_variance_uniform(spec, lo, hi):
+    sizes = harness._sizes(spec)
+    out = np.empty((hi - lo, len(sizes)))
+    for j, n in enumerate(sizes):
+        for i, rng in enumerate(harness._streams((spec.seed, j), lo, hi)):
+            xs, ys = quadtree.sample_uniform_xy(n, rng)
+            xi = float(rng.random())
+            out[i, j] = quadtree.line_cost(xs, ys, xi)
+    return out
+
+
+def _oracle_block_kd_mean(spec, lo, hi):
+    (n,) = harness._sizes(spec)
+    out = np.empty((hi - lo, 2))
+    for j, axis in enumerate((kdtree.VERTICAL, kdtree.HORIZONTAL)):
+        for i, rng in enumerate(harness._streams((spec.seed, j), lo, hi)):
+            xs, ys = quadtree.sample_uniform_xy(n, rng)
+            xi = float(rng.random())
+            out[i, j] = kdtree.line_cost(xs, ys, xi, axis)
+    return out
+
+
+def _oracle_block_poisson_mean(spec, lo, hi):
+    out = np.empty((hi - lo, 1))
+    for i, rng in enumerate(harness._streams((spec.seed,), lo, hi)):
+        xs, ys = quadtree.sample_poisson_xy(spec.t, rng)
+        xi = float(rng.random())
+        out[i, 0] = quadtree.line_cost(xs, ys, xi)
+    return out
+
+
+def _oracle_block_coupling(spec, lo, hi):
+    out = np.empty((hi - lo, 3))
+    tp = spec.t * (1.0 + spec.eps)
+    sp = (spec.s + spec.eps) / (1.0 + spec.eps)
+    pairs = zip(harness._streams((spec.seed,), lo, hi),
+                harness._streams((spec.seed,), lo, hi, (1,)))
+    for i, (rng, rng2) in enumerate(pairs):
+        xs, ys = quadtree.sample_extension_xy(spec.t, spec.eps, rng)
+        base, ext = quadtree.coupled_extension_cost(xs, ys, spec.eps, spec.s)
+        xs2, ys2 = quadtree.sample_poisson_xy(tp, rng2)
+        out[i] = (base, ext, quadtree.line_cost(xs2, ys2, sp))
+    return out
+
+
+class TestLineCostReplications:
+    """Every kind built on _line_costs against its old loop, value for value."""
+
+    # 600 replications span three blocks of 256
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "oracle, spec",
+        [
+            (_oracle_block_variance_uniform,
+             ExperimentSpec(kind="variance-uniform-query", sizes=(40, 90), replications=600,
+                            seed=4)),
+            (_oracle_block_kd_mean,
+             ExperimentSpec(kind="kd-mean", sizes=(70,), replications=600, seed=12)),
+            (_oracle_block_poisson_mean,
+             ExperimentSpec(kind="poisson-mean", t=55.0, replications=600, seed=6)),
+            (_oracle_block_coupling,
+             ExperimentSpec(kind="coupling", t=45.0, eps=0.2, s=0.35, replications=600,
+                            seed=10)),
+        ],
+        ids=["variance-uniform-query", "kd-mean", "poisson-mean", "coupling"],
+    )
+    def test_matches_old_loop(self, oracle, spec, threads):
+        expect = oracle(spec, 0, spec.replications)
+        got = np.concatenate(
+            harness.run_blocks(harness._block_worker, spec, spec.replications, threads)
+        )
+        assert np.array_equal(got, expect)
+        summarize = harness.EXPERIMENT_KINDS[spec.kind][1]
+        assert run_experiment(spec, threads=threads).rows == summarize(spec, expect).rows
+
+
+class TestDegenerateSpecs:
+    @pytest.mark.parametrize("kind", ["supremum", "mean-profile", "variance-uniform-query",
+                                      "kd-mean"])
+    def test_size_zero_refused_before_sampling(self, monkeypatch, kind):
+        def sample(*args, **kwargs):
+            raise AssertionError("points were drawn for an empty tree")
+
+        monkeypatch.setattr(quadtree, "sample_uniform_xy", sample)
+        with pytest.raises(ValueError, match="sizes must be >= 1, got 0"):
+            run_experiment(ExperimentSpec(kind=kind, sizes=(0,), replications=2))
+
+    def test_negative_coupling_eps_refused(self, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("points were drawn for a negative eps")
+
+        monkeypatch.setattr(quadtree, "sample_extension_xy", sample)
+        with pytest.raises(ValueError, match="coupling eps must be >= 0, got -1.0"):
+            run_experiment(ExperimentSpec(kind="coupling", eps=-1.0, replications=2))

@@ -274,3 +274,30 @@ class TestSecondMomentIterates:
             + 2.0 * beta_fn(B + 1.0, B + 1.0) / (B + 1.0) * (s * (1 - s)) ** B
         )
         assert m1.eval(s) == pytest.approx(expected, abs=5e-5)
+
+
+class TestGridCap:
+    def test_cap_fits_one_block(self):
+        from pmquad import moments
+
+        assert moments._MAX_GRID <= moments._K_BLOCK
+
+    def test_refused_before_geometry(self, monkeypatch):
+        from pmquad import moments
+
+        def geometry(*args, **kwargs):
+            raise AssertionError("breakpoint geometry was built past the cap")
+
+        monkeypatch.setattr(moments, "_MAX_GRID", 129)
+        monkeypatch.setattr(moments, "_k_geometry", geometry)
+        g = make_grid(128)
+        with pytest.raises(CapExceededError, match="grid of 130 points exceeds cap 129"):
+            apply_K(GridFunction(g, _h2(g)))
+
+    def test_grid_at_cap_runs(self, monkeypatch):
+        from pmquad import moments
+
+        g = make_grid(128)
+        expect = apply_K(GridFunction(g, _h2(g))).values
+        monkeypatch.setattr(moments, "_MAX_GRID", 130)
+        assert np.array_equal(apply_K(GridFunction(g, _h2(g))).values, expect)
