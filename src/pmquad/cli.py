@@ -30,8 +30,9 @@ from .harness import (
     EXPERIMENT_KINDS,
     ExperimentSpec,
     Table,
+    _GENERATOR_NAME,
     _line_costs,
-    _streams,
+    _uniform_samples,
     emit_csv,
     emit_plot_data,
     run_blocks,
@@ -223,7 +224,7 @@ def _block_simulate_cost(args, lo, hi):
 
 def _cmd_simulate_cost(args) -> Table:
     return _replicated(_block_simulate_cost, args, ["replication", "cost"],
-                       {"seed": args.seed, "tree": args.tree, "generator": "pcg64"})
+                       {"seed": args.seed, "tree": args.tree, "generator": _GENERATOR_NAME})
 
 
 def _cmd_profile(args) -> Table:
@@ -258,10 +259,8 @@ def _block_diagnostics(args, lo, hi):
     wn, ln = limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)
     columns = [range(lo, hi), wn.tolist(), ln.tolist()]
     if args.fill_n is not None:
-        columns.append([
-            limitproc.fill_up_level_xy(*quadtree.sample_uniform_xy(args.fill_n, rng))
-            for rng in _streams((args.seed,), lo, hi)
-        ])
+        columns.append([limitproc.fill_up_level_xy(*xy)
+                        for xy in _uniform_samples((args.seed,), lo, hi, args.fill_n)])
     return list(zip(*columns))
 
 

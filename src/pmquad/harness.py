@@ -78,8 +78,9 @@ def variance_se(samples) -> float:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parameters of one experiment run; every field participates in seeding-
-    independent validation, none is mutated after construction."""
+    """Parameters of one experiment run; none is mutated after construction.
+    ``run_experiment`` checks ``kind``, ``sizes``, ``replications`` and, for the
+    kinds that read them, ``depth`` and ``eps``; the other fields are used as given."""
 
     kind: str
     sizes: tuple = ()
@@ -263,6 +264,11 @@ def _streams(prefix, lo: int, hi: int, suffix=()) -> list:
     return [np.random.Generator(np.random.PCG64(_Row(row))) for row in _seed_states(entropy)]
 
 
+def _uniform_samples(prefix, lo: int, hi: int, n: int):
+    """(xs, ys) of n uniform points from each stream of ``_streams(prefix, lo, hi)``."""
+    return (quadtree.sample_uniform_xy(n, rng) for rng in _streams(prefix, lo, hi))
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds: per-block simulation + summarize + acceptance check
 
@@ -277,8 +283,8 @@ def _block_mean_profile(spec, lo, hi):
     grid = spec.s_grid or (0.5,)
     (n,) = _sizes(spec)
     out = np.empty((hi - lo, len(grid)))
-    for i, rng in enumerate(_streams((spec.seed,), lo, hi)):
-        prof = quadtree.profile_xy(*quadtree.sample_uniform_xy(n, rng))
+    for i, xy in enumerate(_uniform_samples((spec.seed,), lo, hi, n)):
+        prof = quadtree.profile_xy(*xy)
         out[i] = [prof.eval(float(s)) for s in grid]
     return out
 
@@ -389,9 +395,8 @@ def _block_supremum(spec, lo, hi):
     sizes = _sizes(spec)
     out = np.empty((hi - lo, len(sizes)))
     for j, n in enumerate(sizes):
-        for i, rng in enumerate(_streams((spec.seed, j), lo, hi)):
-            xs, ys = quadtree.sample_uniform_xy(n, rng)
-            out[i, j] = quadtree.profile_xy(xs, ys).max_segment()[0]
+        out[:, j] = [quadtree.profile_xy(*xy).max_segment()[0]
+                     for xy in _uniform_samples((spec.seed, j), lo, hi, n)]
     return out
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .quadtree import _QUAD, QuadTree, _node_extents
+from .quadtree import _QUAD, Tree, _node_extents
 from .specfun import beta_exponent
 
 __all__ = [
@@ -414,7 +414,7 @@ def diagnostics_many(n: int, master_seed: int, reps: int, start: int = 0):
     return _diagnostics(n, _env_seeds(master_seed, start, reps))
 
 
-def fill_up_level(tree: QuadTree) -> int:
+def fill_up_level(tree: Tree) -> int:
     """Largest n such that every potential node above depth n exists."""
     counts = {}
     for _, depth in tree.nodes_with_depth():

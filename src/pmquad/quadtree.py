@@ -15,8 +15,12 @@ level-wise kernel on arrays, which partitions the pending points a depth at a
 time instead of inserting them one by one.  It works on x-ranks, so each
 extent is a pair of ranks; +1 at every left rank and -1 at every right rank,
 counted in sorted-x order and summed, is the step function, with no sort of
-the extents.  The linked ``QuadNode`` trees from ``build`` remain as the
-reference."""
+the extents.
+
+The reference (oracle) trees are linked ``Node``s: one tree type with split
+axis flags serves the quadtree (``build``, whose nodes split both axes) and
+the 2-d tree (``kdtree.build_kd``, whose nodes split one axis, their children
+the other), and shares no code with the array kernels it checks."""
 
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ from .errors import CapExceededError, DuplicateCoordinateError
 from .geom import Cell, Point2, StepProfile
 
 __all__ = [
-    "QuadNode",
-    "QuadTree",
+    "Node",
+    "Tree",
     "build",
     "sample_uniform_points",
     "sample_uniform_xy",
@@ -46,66 +50,58 @@ __all__ = [
     "sample_extension_xy",
 ]
 
-# children are ordered bottom-left, top-left, bottom-right, top-right
-_BL, _TL, _BR, _TR = 0, 1, 2, 3
-
 # Points per sampled tree.  profile_xy peaks at about 98 B/point on top of
 # the inputs' 16 (traced at 1e6 and 4e6 points): about 2 GB at the cap.
 _MAX_POINTS = 1 << 24
 
 
-class QuadNode:
-    __slots__ = ("point", "cell", "children")
+class Node:
+    """A stored point, its cell, the axes it splits and four child slots: a
+    point goes to slot 2 (x >= px) + (y >= py), taken over the split axes, so
+    a quadtree's slots are bottom-left, top-left, bottom-right, top-right."""
 
-    def __init__(self, point: Point2, cell: Cell):
+    __slots__ = ("point", "cell", "split_x", "split_y", "children")
+
+    def __init__(self, point: Point2, cell: Cell, split_x: bool, split_y: bool):
         self.point = point
         self.cell = cell
+        self.split_x = split_x
+        self.split_y = split_y
         self.children = [None, None, None, None]
 
-    def child_index(self, x: float, y: float) -> int:
-        """Quadrant of (x, y) relative to this node's stored point."""
-        left = x < self.point.x
-        bottom = y < self.point.y
-        if left:
-            return _BL if bottom else _TL
-        return _BR if bottom else _TR
-
     def child_cell(self, idx: int) -> Cell:
-        """The cell a child at quadrant idx occupies (whether or not it exists)."""
+        """The cell a child at slot idx occupies (whether or not it exists)."""
         px, py = self.point.x, self.point.y
-        c = self.cell
-        x0, x1 = (c.x0, px) if idx in (_BL, _TL) else (px, c.x1)
-        y0, y1 = (c.y0, py) if idx in (_BL, _BR) else (py, c.y1)
+        x0, x1, y0, y1 = self.cell.x0, self.cell.x1, self.cell.y0, self.cell.y1
+        if self.split_x:
+            x0, x1 = (x0, px) if idx < 2 else (px, x1)
+        if self.split_y:
+            y0, y1 = (y0, py) if idx % 2 == 0 else (py, y1)
         return Cell(x0, x1, y0, y1)
 
 
-class QuadTree:
-    """Immutable-after-build quadtree; ``root`` is None for the empty tree."""
+class Tree:
+    """Immutable-after-build tree; ``root`` is None for the empty tree and
+    ``root_axis`` None for a quadtree ('v' or 'h' for a 2-d tree)."""
 
-    __slots__ = ("root", "size")
+    __slots__ = ("root", "size", "root_axis")
 
-    def __init__(self, root, size: int):
+    def __init__(self, root, size: int, root_axis=None):
         self.root = root
         self.size = size
+        self.root_axis = root_axis
 
     def nodes(self):
-        """All nodes, depth-first."""
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            yield node
-            for child in node.children:
-                if child is not None:
-                    stack.append(child)
+        """All nodes, level by level from the root."""
+        return (node for node, _ in self.nodes_with_depth())
 
     def nodes_with_depth(self):
-        stack = [(self.root, 0)] if self.root is not None else []
-        while stack:
-            node, d = stack.pop()
-            yield node, d
-            for child in node.children:
-                if child is not None:
-                    stack.append((child, d + 1))
+        level, d = [self.root] if self.root is not None else [], 0
+        while level:
+            for node in level:
+                yield node, d
+            level = [child for node in level for child in node.children if child is not None]
+            d += 1
 
 
 def _check_general_position(points) -> None:
@@ -119,24 +115,34 @@ def _check_general_position(points) -> None:
         ys.add(p.y)
 
 
-def build(points) -> QuadTree:
-    """Insert points in index order, starting from the unit-square root cell."""
+def _build(points, split_x: bool, split_y: bool, root_axis) -> Tree:
+    """Insert points in index order from the unit-square root, which splits
+    the given axes; a child splits its parent's axes swapped, which alternates
+    a 2-d tree's axis and leaves a quadtree's unchanged."""
     points = list(points)
     _check_general_position(points)
-    root = None
-    for p in points:
-        if root is None:
-            root = QuadNode(p, Cell(0.0, 1.0, 0.0, 1.0))
-            continue
+    root = Node(points[0], Cell(0.0, 1.0, 0.0, 1.0), split_x, split_y) if points else None
+    for p in points[1:]:
         node = root
         while True:
-            idx = node.child_index(p.x, p.y)
+            q = node.point
+            idx = (2 if node.split_x and p.x >= q.x else 0) + (node.split_y and p.y >= q.y)
             child = node.children[idx]
             if child is None:
-                node.children[idx] = QuadNode(p, node.child_cell(idx))
+                node.children[idx] = Node(p, node.child_cell(idx), node.split_y, node.split_x)
                 break
             node = child
-    return QuadTree(root, len(points))
+    return Tree(root, len(points), root_axis)
+
+
+def build(points) -> Tree:
+    """The quadtree: insert points in index order, every node splitting both axes."""
+    return _build(points, True, True, None)
+
+
+def _points(xs, ys) -> list:
+    """Point2s of the coordinate arrays xs, ys, indexed in arrival order."""
+    return list(map(Point2, xs.tolist(), ys.tolist(), range(len(xs))))
 
 
 def sample_uniform_xy(n: int, rng) -> tuple:
@@ -151,8 +157,7 @@ def sample_uniform_xy(n: int, rng) -> tuple:
 
 def sample_uniform_points(n: int, rng):
     """n i.i.d. uniform points of the unit square, in insertion order."""
-    xs, ys = sample_uniform_xy(n, rng)
-    return [Point2(float(x), float(y), i) for i, (x, y) in enumerate(zip(xs, ys))]
+    return _points(*sample_uniform_xy(n, rng))
 
 
 def _check_query(s: float) -> None:
@@ -160,54 +165,60 @@ def _check_query(s: float) -> None:
         raise ValueError(f"query position must lie in [0, 1], got {s!r}")
 
 
-def cost(tree: QuadTree, s: float) -> int:
-    """Nodes visited by the partial-match search at x = s.
+def _search(node, s: float) -> int:
+    """Nodes visited below (and including) ``node`` by the search at x = s.
 
-    Descends only into the two children on the side of the split containing
-    the line; the line at a split coordinate goes right.
+    At a node that splits x it enters only the children on the line's side
+    (slots 0 and 1 left of the split, 2 and 3 right of it), and a line at the
+    split goes right; any other node keeps every child in slots 0 and 1.
     """
-    _check_query(s)
-    if tree.root is None:
-        return 0
     count = 0
-    stack = [tree.root]
+    stack = [node] if node is not None else []
     while stack:
         node = stack.pop()
         count += 1
-        pair = (_BL, _TL) if s < node.point.x else (_BR, _TR)
-        for idx in pair:
-            child = node.children[idx]
-            if child is not None:
-                stack.append(child)
+        children = node.children
+        i = 2 if node.split_x and s >= node.point.x else 0
+        if children[i] is not None:
+            stack.append(children[i])
+        if children[i + 1] is not None:
+            stack.append(children[i + 1])
     return count
 
 
-def horizontal_crossings(tree: QuadTree, s: float) -> int:
-    """Nodes whose horizontal split segment crosses x = s.
+def cost(tree: Tree, s: float) -> int:
+    """Nodes visited by the partial-match search at x = s."""
+    _check_query(s)
+    return _search(tree.root, s)
 
-    The segment spans the node's full cell x-extent at the node's y, so this
-    is a whole-tree enumeration — an independent oracle for ``cost``.
+
+def horizontal_crossings(tree: Tree, s: float) -> int:
+    """Nodes whose cell meets x = s: in a quadtree, those whose horizontal
+    split segment crosses the line.
+
+    This is a whole-tree enumeration, an independent oracle for ``cost`` and
+    for the 2-d tree costs.
     """
     _check_query(s)
     return sum(1 for node in tree.nodes() if node.cell.crosses_line(s))
 
 
-def profile(tree: QuadTree) -> StepProfile:
+def profile(tree: Tree) -> StepProfile:
     """The exact step function s -> cost(tree, s), from the node objects."""
     cells = [node.cell for node in tree.nodes()]
     return StepProfile.from_extents([c.x0 for c in cells], [c.x1 for c in cells])
 
 
-def supremum(tree: QuadTree):
+def supremum(tree: Tree):
     """(max cost, first maximizing interval [lo, hi)) over all query positions."""
     return profile(tree).max_segment()
 
 
-def subtree_sizes(tree: QuadTree):
+def subtree_sizes(tree: Tree):
     """Node counts of the four root subtrees (BL, TL, BR, TR); they sum to n - 1."""
     if tree.root is None:
         raise ValueError("subtree_sizes needs a nonempty tree")
-    return tuple(sum(1 for _ in QuadTree(child, None).nodes()) for child in tree.root.children)
+    return tuple(sum(1 for _ in Tree(child, None).nodes()) for child in tree.root.children)
 
 
 def sample_poisson_xy(t: float, rng) -> tuple:
@@ -218,11 +229,9 @@ def sample_poisson_xy(t: float, rng) -> tuple:
     return sample_uniform_xy(n, rng)
 
 
-def sample_poisson_tree(t: float, rng) -> QuadTree:
+def sample_poisson_tree(t: float, rng) -> Tree:
     """Quadtree of a unit-intensity Poisson process run for time t."""
-    xs, ys = sample_poisson_xy(t, rng)
-    pts = [Point2(float(x), float(y), i) for i, (x, y) in enumerate(zip(xs, ys))]
-    return build(pts)
+    return build(_points(*sample_poisson_xy(t, rng)))
 
 
 # A crossing slice carries the rule of its next split: quad narrows the
@@ -326,7 +335,7 @@ def _node_extents(xs, ys, rule: int) -> tuple:
     if n and not (0.0 <= sx[0] and sx[-1] <= 1.0 and 0.0 <= sy[0] and sy[-1] <= 1.0) or any(
         np.any(a[1:] == a[:-1]) for a in (sx, sy)
     ):  # raises, naming the first point outside the square, else the first repeat
-        _check_general_position(list(map(Point2, xs.tolist(), ys.tolist(), range(n))))
+        _check_general_position(_points(xs, ys))
     r, y, cell = np.empty(n, dtype=np.intp), ys, np.zeros(n, dtype=np.intp)
     r[order] = np.arange(1, n + 1)
     lo, hi = np.zeros(1, dtype=np.intp), np.full(1, n + 1, dtype=np.intp)  # x-ranks by cell

@@ -17,6 +17,7 @@ from pmquad.kdtree import (
     line_cost,
     vertical_decomposition_check,
 )
+from pmquad.quadtree import horizontal_crossings
 from pmquad.quadtree import line_cost as quad_line_cost
 from pmquad.quadtree import sample_uniform_points, sample_uniform_xy
 
@@ -40,23 +41,23 @@ class TestBuildKd:
 
     def test_single_vertical_root_halves_the_square(self):
         t = build_kd(_pts((0.5, 0.5)))
-        assert t.root.axis == VERTICAL
-        assert t.root.child_cell(True) == Cell(0.0, 0.5, 0.0, 1.0)
-        assert t.root.child_cell(False) == Cell(0.5, 1.0, 0.0, 1.0)
+        assert t.root.split_x and not t.root.split_y
+        assert t.root.child_cell(0) == Cell(0.0, 0.5, 0.0, 1.0)
+        assert t.root.child_cell(2) == Cell(0.5, 1.0, 0.0, 1.0)
 
     def test_axis_alternates(self):
         t = build_kd(TWO_POINTS)
-        low = t.root.low
+        low = t.root.children[0]
         assert low is not None and low.point.index == 1
-        assert low.axis == HORIZONTAL
+        assert low.split_y and not low.split_x
         assert low.cell == Cell(0.0, 0.5, 0.0, 1.0)
         assert low.point.y == 0.75
 
     def test_horizontal_root(self):
         t = build_kd(TWO_POINTS, HORIZONTAL)
-        assert t.root.axis == HORIZONTAL
-        child = t.root.high  # (0.25, 0.75) is above y = 0.5
-        assert child is not None and child.axis == VERTICAL
+        assert t.root.split_y and not t.root.split_x
+        child = t.root.children[1]  # (0.25, 0.75) is above y = 0.5
+        assert child is not None and child.split_x and not child.split_y
         assert child.cell == Cell(0.0, 1.0, 0.5, 1.0)
 
     def test_duplicate_rejected(self):
@@ -70,8 +71,8 @@ class TestBuildKd:
     def test_cells_tile(self):
         t = _random_kd(3, 150)
         for node in t.nodes():
-            lo = node.child_cell(True)
-            hi = node.child_cell(False)
+            lo = node.child_cell(0)
+            hi = node.child_cell(2 if node.split_x else 1)
             assert lo.area() + hi.area() == pytest.approx(node.cell.area(), abs=1e-15)
 
 
@@ -113,6 +114,20 @@ class TestCosts:
             cur = [cost_parallel(t, float(s)) for s in svals]
             assert all(a <= b for a, b in zip(prev, cur))
             prev = cur
+
+    def test_costs_match_cell_crossings(self):
+        # the search against the whole-tree count of cells meeting the line,
+        # at the square's edges, at stored x's and at random positions (the
+        # latter two as numpy floats)
+        srng = np.random.default_rng(15)
+        for seed in range(150):
+            n = int(srng.integers(1, 81))
+            for axis, fn in ((VERTICAL, cost_parallel), (HORIZONTAL, cost_perp)):
+                t = _random_kd(11000 + seed, n, axis)
+                xs = [node.point.x for node in t.nodes()]
+                queries = [0.0, 1.0, *srng.choice(xs, 3), *srng.random(5)]
+                for s in queries:
+                    assert fn(t, s) == horizontal_crossings(t, s)
 
 
 class TestProfile:

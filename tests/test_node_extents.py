@@ -30,7 +30,7 @@ def object_tree(xs, ys, rule):
 
 
 def object_profile(tree):
-    return quadtree.profile(tree) if isinstance(tree, quadtree.QuadTree) else kdtree.kd_profile(tree)
+    return quadtree.profile(tree) if tree.root_axis is None else kdtree.kd_profile(tree)
 
 
 def profile_xy(xs, ys, rule):

@@ -1,9 +1,11 @@
 import importlib
 import pkgutil
+import types
 
 import pytest
 
 import pmquad
+from pmquad import kdtree, limitproc, quadtree
 
 MODULES = ["pmquad"] + [f"pmquad.{m.name}" for m in pkgutil.iter_modules(pmquad.__path__)]
 
@@ -19,3 +21,51 @@ def test_all_names_resolve(name):
                                           ("kdtree", "vertical_decomposition_check")])
 def test_public_helpers_exported(module, attr):
     assert attr in importlib.import_module(f"pmquad.{module}").__all__
+
+
+# The object trees are the oracle the array kernels are tested against, so
+# they must not reach the kernels' rule encoding or the kernels themselves.
+KERNEL_NAMES = {"_slice_cost", "_node_extents", "_profile_xy", "_AFTER", "_QUAD", "_KD_V", "_KD_H"}
+
+
+def _names(code):
+    """The global and attribute names that code and its nested code objects read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def _methods(cls):
+    return [f for f in vars(cls).values() if isinstance(f, types.FunctionType)]
+
+
+ORACLE = [
+    *_methods(quadtree.Node),
+    *_methods(quadtree.Tree),
+    quadtree._build,
+    quadtree._search,
+    quadtree.build,
+    quadtree.cost,
+    quadtree.horizontal_crossings,
+    quadtree.profile,
+    quadtree.supremum,
+    quadtree.subtree_sizes,
+    kdtree.build_kd,
+    kdtree.cost_parallel,
+    kdtree.cost_perp,
+    kdtree.kd_profile,
+    kdtree.decomposition_check,
+    kdtree.vertical_decomposition_check,
+    limitproc.fill_up_level,
+]
+
+
+@pytest.mark.parametrize("fn", ORACLE, ids=lambda fn: fn.__qualname__)
+def test_oracle_independent_of_kernels(fn):
+    assert _names(fn.__code__) & KERNEL_NAMES == set()
+
+
+def test_names_sees_nested_code():
+    assert "_AFTER" in _names((lambda: [_AFTER for _ in ()]).__code__)  # noqa: F821

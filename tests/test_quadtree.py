@@ -9,7 +9,7 @@ from pmquad import quadtree
 from pmquad.errors import CapExceededError, DuplicateCoordinateError
 from pmquad.geom import Cell, Point2, StepProfile
 from pmquad.quadtree import (
-    QuadTree,
+    Tree,
     build,
     cost,
     coupled_extension_cost,
