@@ -22,6 +22,9 @@ import argparse
 import os
 import sys
 
+# no BLAS call here; parallelism is --threads processes, not a BLAS thread pool
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import kdtree, limitproc, quadtree

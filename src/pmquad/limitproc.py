@@ -153,14 +153,17 @@ def _label_uniforms(state: np.ndarray, family: int, z=None, t=None):
     return out
 
 
-# Layout of the crossing-box expansion.  A batch holds m independent rows
-# (environments, query positions or subtree roots).  The boxes of one level
-# are an (m, D, H) array in halves order: the bottom and top children of the
-# box in column c sit in columns c and c + D*H of the next level, so a row's
-# leaves are its paths with the first split in the lowest bit.  Siblings
-# share their relative position u, which is stored once, shaped (m, 1, H).
-# Folding a row by halves adds sibling subtrees exactly as the pairwise fold
-# of the breadth-first order does, so every sum has the same bits.
+# Layout of the crossing-box expansion.  The boxes of one level are an
+# (m, D, H) array of m independent rows in halves order: the bottom and top
+# children of the box in column c sit in columns c and c + D*H of the next
+# level, so a row's leaves are its paths with the first split in the lowest
+# bit.  Siblings share their relative position u, which is stored once,
+# shaped (m, 1, H).  Folding a row by halves adds sibling subtrees exactly as
+# the pairwise fold of the breadth-first order does, so every sum has the same
+# bits.  The rows are environments or query positions: a whole chunk at the
+# top levels, and a slice of its rows at the bottom levels, which continue
+# from those rows' boxes as if they had been expanded alone.  Past the split
+# level of a deep expansion each row is one subtree root instead.
 
 
 def _children(state, log_area, u, two_d: bool):
@@ -270,33 +273,50 @@ def _check_query(n: int, s) -> np.ndarray:
 def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
     """Z_n(s[r]) in the environment of seed seeds[r], for every row r.
 
-    ``s`` is one position or one per row.  Each batch of rows is expanded
-    breadth first to the split level k at which one subtree holds at most
-    _BOX_BUDGET boxes; the subtrees rooted there are then finished
-    _BOX_BUDGET boxes at a time, folded, and their 2^k partial sums folded
-    again.  The labels depend only on (seed, address), so the order of the
-    work changes no bit of the result.
+    ``s`` is one position or one per row.  The work runs in three steps:
+
+    - Top levels per chunk: a chunk of rows is expanded together down to a
+      top level t, where the chunk's boxes fill one _BOX_BUDGET (256 rows to
+      level 8 at the default budget), so no level runs on a narrow array
+      once per small batch.
+    - Bottom levels per row batch: at depth n <= log2(_BOX_BUDGET), each
+      slice of _BOX_BUDGET >> n rows of the top level is finished down to
+      level n in the rows' own (m, D, H) layout and folded per row.
+    - Split path for deeper n: a chunk is one row, t is the split level
+      where one subtree holds _BOX_BUDGET boxes, and each subtree rooted
+      there is finished and folded on its own; the row's 2^t partial sums
+      are then folded again.
+
+    The labels depend only on (seed, address) and each row's boxes keep
+    their halves order, so the order of the work changes no bit of the
+    result.
     """
     s = np.broadcast_to(_check_query(n, s), seeds.shape)
-    split = max(0, n - (_BOX_BUDGET.bit_length() - 1))
-    rows = max(1, _BOX_BUDGET >> n)
-    per_batch = max(1, _BOX_BUDGET >> (n - split))
+    log_budget = _BOX_BUDGET.bit_length() - 1
+    if n > log_budget:  # one row at a time, split where a subtree fills the budget
+        top, chunk = n - log_budget, 1
+    else:
+        # a chunk fills the budget at level t; with t half the budget's levels,
+        # top and bottom arrays alike hold about sqrt(_BOX_BUDGET) boxes or more
+        top = min(n, log_budget // 2)
+        chunk = _BOX_BUDGET >> top
+    batch = max(1, _BOX_BUDGET >> n)
     out = np.empty(seeds.shape[0])
-    for lo in range(0, seeds.shape[0], rows):
-        state, log_area, u, seed_off = _roots(s[lo:lo + rows], seeds[lo:lo + rows])
+    for lo in range(0, seeds.shape[0], chunk):
+        state, log_area, u, seed_off = _roots(s[lo:lo + chunk], seeds[lo:lo + chunk])
         m = state.shape[0]
-        state, log_area, u = _descend(state, log_area, u, seed_off, split, two_d)
-        # every box at the split level roots one subtree
-        r = state.size
-        u = np.broadcast_to(u, state.shape).reshape(r, 1, 1)
-        state = state.reshape(r, 1, 1)
-        log_area = log_area.reshape(r, 1, 1)
-        seed_off = np.broadcast_to(seed_off, (m, r // m)).reshape(r, 1)
-        sums = np.empty(r)
-        for j in range(0, r, per_batch):
-            k = slice(j, j + per_batch)
+        state, log_area, u = _descend(state, log_area, u, seed_off, top, two_d)
+        if n > log_budget:  # every box at the split level roots one subtree
+            r = state.size
+            u = np.broadcast_to(u, state.shape).reshape(r, 1, 1)
+            state = state.reshape(r, 1, 1)
+            log_area = log_area.reshape(r, 1, 1)
+            seed_off = np.broadcast_to(seed_off, (m, r // m)).reshape(r, 1)
+        sums = np.empty(state.shape[0])
+        for j in range(0, state.shape[0], batch):
+            k = slice(j, j + batch)
             sums[k] = _box_sums(*_leaves(state[k], log_area[k], u[k], seed_off[k],
-                                         n - split, two_d))
+                                         n - top, two_d))
         out[lo:lo + m] = _pairwise_fold(sums.reshape(m, -1))
     return out
 

@@ -6,7 +6,8 @@ held all reps x 2^n boxes at once, ``reference_diagnostics`` the per-environment
 enumeration of all 4^n cells by heap code, and ``reference_apply_k`` the
 per-grid-point loop over ``_edge_integral``; all are kept verbatim (with their
 helpers) as the reference oracles.  Every comparison is bit for bit.  Shrinking
-``_BOX_BUDGET`` makes small depths run the split-level and multi-batch paths.
+``_BOX_BUDGET`` makes small depths run the split-level, multi-chunk and
+multi-batch paths.
 """
 
 import os
@@ -261,6 +262,92 @@ class TestSingleEnvironment:
                     la, u = reference_expand(depth, s, seeds, two_d, return_boxes=True)
                     assert np.array_equal(areas, np.exp(la[0]))
                     assert np.array_equal(rel, u[0])
+
+
+def _chunking(budget):
+    """(top level t, rows per chunk, log2 budget) of the expansion under
+    ``budget``: a chunk's boxes at level t fill one budget."""
+    log = budget.bit_length() - 1
+    return log // 2, budget >> (log // 2), log
+
+
+class TestChunkBoundaries:
+    """Rows and depths on either side of the chunk, the top level, the row
+    batch and the split level, bit for bit against the reference."""
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_rows_around_one_chunk(self, budget, two_d):
+        top, chunk, log = _chunking(budget or limitproc._BOX_BUDGET)
+        depths = {0, 1, top, top + 1}
+        if budget:  # the default budget's split level is too deep for 257 rows
+            depths |= {log, log + 1}
+        # chunk + chunk // 2 - 1 rows leave a partial bottom batch in the last chunk
+        for reps in sorted({chunk - 1, chunk, chunk + 1, chunk + chunk // 2 - 1} - {0}):
+            for depth in sorted(depths):
+                for s in (0.0, 0.4, 1.0):
+                    got = simulate_many(depth, s, 31, reps, two_d=two_d, start=7)
+                    want = reference_many(depth, s, 31, reps, two_d, start=7)
+                    assert np.array_equal(got, want), (reps, depth, s)
+
+    @pytest.mark.parametrize("log_budget", [5, 9, 10])
+    def test_budgets_where_chunk_and_batch_differ(self, monkeypatch, log_budget):
+        monkeypatch.setattr(limitproc, "_BOX_BUDGET", 1 << log_budget)
+        top, chunk, log = _chunking(1 << log_budget)
+        for two_d in (False, True):
+            for depth in (top + 1, log - 1, log, log + 1):
+                # a bottom batch holds (1 << log - depth) rows, fewer than a
+                # chunk; past the split level a chunk is one row
+                reps = 2 * chunk + 3 if depth <= log else 3
+                got = simulate_many(depth, 0.4, 8, reps, two_d=two_d, start=2)
+                assert np.array_equal(got, reference_many(depth, 0.4, 8, reps, two_d, start=2))
+
+    @pytest.mark.parametrize("two_d", [False, True])
+    def test_default_split_level(self, two_d):
+        # depth 16 fills the budget with one row; depth 17 splits each row in two
+        for depth in (16, 17):
+            got = simulate_many(depth, 0.4, 2024, 3, two_d=two_d, start=1)
+            # one reference row at a time keeps this process's RSS low for the
+            # RSS tests below, which count it in their children
+            want = [reference_many(depth, 0.4, 2024, 1, two_d, start=r)[0] for r in (1, 2, 3)]
+            assert np.array_equal(got, want)
+
+    def test_path_longer_than_a_chunk(self, budget):
+        top, chunk, log = _chunking(budget or limitproc._BOX_BUDGET)
+        grid = np.concatenate((np.linspace(0.0, 1.0, chunk + chunk // 2 + 1), GRID[200:203]))
+        for two_d in (False, True):
+            for depth in sorted({0, top, top + 1, min(log, 9)}):
+                want = [reference_point(depth, float(s), ENV, two_d) for s in grid]
+                assert np.array_equal(simulate_path(depth, grid, ENV, two_d), want)
+
+
+@pytest.mark.parametrize("log_budget", range(4, 17))
+def test_no_expansion_step_exceeds_the_budget(monkeypatch, log_budget):
+    # every box array is made by one _children call, so its output size bounds
+    # what one expansion step holds.  Past depth 2 log_budget one row's split
+    # level alone outgrows the budget (the depth cap 24 keeps the default
+    # budget 2^16 far from that), and past 2^8 subtrees per row the split path
+    # only repeats itself, so those depths are left out.
+    budget = 1 << log_budget
+    monkeypatch.setattr(limitproc, "_BOX_BUDGET", budget)
+    children = limitproc._children
+    sizes = []
+
+    def counted(state, *args):
+        sizes.append(2 * state.size)
+        return children(state, *args)
+
+    monkeypatch.setattr(limitproc, "_children", counted)
+    top = _chunking(budget)[0]
+    for depth in range(min(20, 2 * log_budget, log_budget + 8) + 1):
+        # one row more than fills a chunk's top level, or, where a chunk is
+        # costly to finish, than fills one bottom batch: the bound is reached
+        if depth <= top + 1:
+            reps = (budget >> min(depth, top)) + 1
+        else:
+            reps = max(1, budget >> depth) + 1
+        sizes.clear()
+        simulate_many(depth, 0.4, 6, reps)
+        assert max(sizes, default=0) == (budget if depth else 0), (depth, reps)
 
 
 class TestBatchedKernelEdges:

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -69,3 +72,21 @@ def test_oracle_independent_of_kernels(fn):
 
 def test_names_sees_nested_code():
     assert "_AFTER" in _names((lambda: [_AFTER for _ in ()]).__code__)  # noqa: F821
+
+
+def _fresh(code, **env):
+    """stdout of ``code`` in a fresh interpreter with ``env`` set on top of ours."""
+    env = {k: v for k, v in {**os.environ, **env}.items() if v is not None}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # the CLI can only set BLAS threads before numpy loads if pmquad has not loaded it
+    assert _fresh("import sys, pmquad; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_cli_keeps_openblas_to_one_thread_unless_set(preset, want):
+    code = "import os, pmquad.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(code, OPENBLAS_NUM_THREADS=preset) == want
