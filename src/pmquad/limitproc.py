@@ -40,7 +40,7 @@ __all__ = [
 
 _MAX_POINTWISE_DEPTH = 24
 _MAX_ENUM_DEPTH = 12
-_MAX_GRID = 10_000
+_MAX_PATH_GRID = 10_000
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -360,8 +360,8 @@ def simulate_path(n: int, grid, env: LimitEnvironment, two_d: bool = False):
     expansion.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size > _MAX_GRID:
-        raise CapExceededError(f"grid size {grid.size} exceeds cap {_MAX_GRID}")
+    if grid.size > _MAX_PATH_GRID:
+        raise CapExceededError(f"grid size {grid.size} exceeds cap {_MAX_PATH_GRID}")
     seeds = np.full(grid.size, env.seed & _M64, dtype=np.uint64)
     return _crossing_sums(n, grid, seeds, two_d)
 

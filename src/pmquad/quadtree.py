@@ -25,6 +25,7 @@ the other), and shares no code with the array kernels it checks."""
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 
@@ -238,7 +239,8 @@ def sample_poisson_tree(t: float, rng) -> Tree:
 # slice's x-extent and splits it in y; a 2-d tree does one, then the other.
 _QUAD, _KD_V, _KD_H = 0, 1, 2
 _AFTER = (_QUAD, _KD_H, _KD_V)  # a slice's rule once it has been crossed
-SEQ = 256  # points updated one by one before the block filter starts
+SEQ = 256  # a tree of up to SEQ points is updated one point at a time
+HEAD = 128  # on larger trees, points updated one by one before the blocks
 
 
 def _coords(xs, ys) -> tuple:
@@ -249,15 +251,25 @@ def _coords(xs, ys) -> tuple:
     return xs, ys
 
 
+@lru_cache(maxsize=None)
+def _cell_edges(g: int) -> np.ndarray:
+    """The read-only edges arange(g + 1) / g of the hull's g cells."""
+    edges = np.arange(g + 1) / g
+    edges.flags.writeable = False
+    return edges
+
+
 def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
     """Crossings of x = s by the tree on the points (xs, ys) in arrival order.
 
     Keeps the leaf cells crossing the line as slices that tile [0, 1] in y,
     each with its x-extent and next split rule; a point inside a slice is a
-    crossing node and splits it.  Slices only shrink as points arrive, so
-    after ``SEQ`` points each block [m, 2m) is first tested in one pass
-    against a hull of the slices as they stood at m.  That test passes every
-    crossing, and only the points that pass get the exact update.
+    crossing node and splits it.  Up to ``SEQ`` points every point gets that
+    exact update.  On more, slices only shrink as points arrive, so after
+    the first ``HEAD`` points each block [m, 4m) is first tested in one pass
+    against a hull of the slices as they stood at m, rebuilt once per block
+    from one array of the slices.  That test passes every crossing, and only
+    the points that pass get the exact update.
     """
     xs, ys = _coords(xs, ys)
     n = xs.size
@@ -268,7 +280,7 @@ def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
     hi = [x_hi]
     rules = [rule]
     count = 0
-    stop = min(n, SEQ)
+    stop = n if n <= SEQ else HEAD
     px, py = xs[:stop].tolist(), ys[:stop].tolist()
     while True:
         for x, y in zip(px, py):
@@ -290,14 +302,14 @@ def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
                     rules.insert(i + 1, nxt)
         if stop == n:
             return count
-        start, stop = stop, min(n, 2 * stop)
+        start, stop = stop, min(n, 4 * stop)
         bx, by = xs[start:stop], ys[start:stop]
         # The hull: g cells of [0, 1] (g a power of two, so y is in cell
         # floor(y g) exactly), each with the closed x-hull of the slices
         # first[j] .. first[j + 1] meeting it; x == hi == x_hi == 1.0 passes.
         g = 2 << len(yb).bit_length()
-        first = np.searchsorted(yb, np.arange(g + 1) / g, side="right") - 1
-        lo_a, hi_a = np.array(lo), np.array(hi)
+        yb_a, lo_a, hi_a = np.array((yb, lo, hi), dtype=float)
+        first = yb_a.searchsorted(_cell_edges(g), side="right") - 1
         lo_g = np.minimum(np.minimum.reduceat(lo_a, first[:-1]), lo_a[first[1:]])
         hi_g = np.maximum(np.maximum.reduceat(hi_a, first[:-1]), hi_a[first[1:]])
         cell = (by * g).astype(np.intp)  # y == 1 gives g, clipped to the top cell
@@ -311,6 +323,9 @@ def line_cost(xs, ys, s: float, x_lo: float = 0.0, x_hi: float = 1.0) -> int:
     The root box is [x_lo, x_hi] x [0, 1], so the same routine also serves
     the extended-box coupling.  Coordinates must be 1-d and of equal length;
     beyond ``SEQ`` points, y-coordinates outside [0, 1] raise ValueError.
+    Up to ``SEQ`` points the count is one exact update per point; beyond,
+    blocks [m, 4m) after the first ``HEAD`` points are screened by a hull
+    first (see ``_slice_cost``), with the same count.
     """
     _check_query(s)
     if not x_lo <= s <= x_hi:

@@ -10,6 +10,7 @@ helpers) as the reference oracles.  Every comparison is bit for bit.  Shrinking
 multi-batch paths.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -369,7 +370,7 @@ class TestBatchedKernelEdges:
 
         monkeypatch.setattr(limitproc, "_children", expand)
         with pytest.raises(CapExceededError, match="grid size"):
-            simulate_path(2, np.linspace(0.0, 1.0, limitproc._MAX_GRID + 1), ENV)
+            simulate_path(2, np.linspace(0.0, 1.0, limitproc._MAX_PATH_GRID + 1), ENV)
         with pytest.raises(CapExceededError, match="depth 25"):
             simulate_path(25, [0.5], ENV)
         with pytest.raises(CapExceededError, match="depth 25"):
@@ -422,13 +423,17 @@ class TestDiagnostics:
 
 
 def _peak_rss_mib(code: str) -> float:
-    """Peak RSS of a fresh interpreter running ``code`` against this pmquad."""
+    """Peak RSS of a fresh interpreter running ``code`` against this pmquad,
+    started from the stdlib-only ``peak_rss.py`` so that pytest's own pages
+    do not count."""
     src = str(Path(pmquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    return usage.ru_maxrss / 1024  # MiB (ru_maxrss is in KiB on Linux)
+    helper = str(Path(__file__).with_name("peak_rss.py"))
+    out = subprocess.run([sys.executable, helper, sys.executable, "-c", code], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    result = json.loads(out)
+    assert result["exit"] == 0
+    return result["maxrss_kib"] / 1024  # MiB (ru_maxrss is in KiB on Linux)
 
 
 def test_depth_12_diagnostics_memory():

@@ -189,6 +189,27 @@ class TestRunBlocks:
         assert run_experiment(spec, threads=64).rows == run_experiment(spec).rows
         assert fake_pool == [3]
 
+    def test_real_pool_matches_serial_bytes(self, monkeypatch):
+        # two usable CPUs whatever the host shows, so threads=2 forks a real
+        # 2-worker pool; sizes past quadtree.SEQ run the block filter in it
+        made = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        spec = ExperimentSpec(
+            kind="variance-uniform-query", sizes=(120, 600), replications=600, seed=7
+        )
+        serial, pooled = io.StringIO(), io.StringIO()
+        emit_csv(run_experiment(spec, threads=1), serial)
+        emit_csv(run_experiment(spec, threads=2), pooled)
+        assert made == [2]
+        assert pooled.getvalue() == serial.getvalue()
+
     @pytest.mark.parametrize("reps", [0, -5])
     def test_no_replications(self, reps):
         with pytest.raises(ValueError, match="replications must be >= 1"):

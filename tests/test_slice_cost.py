@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmquad import kdtree, quadtree
-from pmquad.quadtree import _KD_H, _KD_V, _QUAD, SEQ, _slice_cost
+from pmquad.quadtree import _KD_H, _KD_V, _QUAD, HEAD, SEQ, _slice_cost
 
 
 def reference_quad(xs, ys, s, x_lo=0.0, x_hi=1.0):
@@ -70,9 +70,13 @@ def reference_kd(xs, ys, s, root_axis="v"):
     return count
 
 
-# sizes at and around the sequential prefix and the first block boundaries
-EDGE_SIZES = (0, 1, SEQ - 1, SEQ, SEQ + 1, 2 * SEQ - 1, 2 * SEQ, 2 * SEQ + 1,
-              4 * SEQ - 1, 4 * SEQ, 4 * SEQ + 1, 8 * SEQ + 3)
+# sizes at and around the head, the whole-tree cut SEQ and the block ends
+# HEAD * 4^k; EDGE_SIZES adds those of doubling blocks after SEQ
+BLOCK_SIZES = (HEAD - 1, HEAD, HEAD + 1, SEQ - 1, SEQ, SEQ + 1,
+               4 * HEAD - 1, 4 * HEAD, 4 * HEAD + 1, 16 * HEAD - 1, 16 * HEAD, 16 * HEAD + 1,
+               64 * HEAD - 1, 64 * HEAD, 64 * HEAD + 1)
+EDGE_SIZES = tuple(sorted({0, 1, SEQ - 1, SEQ, SEQ + 1, 2 * SEQ - 1, 2 * SEQ, 2 * SEQ + 1,
+                           4 * SEQ - 1, 4 * SEQ, 4 * SEQ + 1, 8 * SEQ + 3, *BLOCK_SIZES}))
 
 
 @st.composite
@@ -128,6 +132,21 @@ class TestSliceCostMatchesSequentialLoops:
             assert _slice_cost(xs, ys, s, 0.0, 1.0, _QUAD) == reference_quad(xs, ys, s)
             assert _slice_cost(xs, ys, s, 0.0, 1.0, _KD_V) == reference_kd(xs, ys, s, "v")
             assert _slice_cost(xs, ys, s, 0.0, 1.0, _KD_H) == reference_kd(xs, ys, s, "h")
+
+    @pytest.mark.parametrize("x_lo", [0.0, -0.25])
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_block_ends_all_rules(self, n, x_lo):
+        # ties on a coarse grid put points on slice and hull edges at every
+        # block end; the 2-d tree root box is the unit square
+        rng = np.random.default_rng([2012, n])
+        xs = np.round(x_lo + (1.0 - x_lo) * rng.random(n), 3)
+        ys = np.round(rng.random(n), 3)
+        xs[::5] = 1.0
+        kx = np.maximum(xs, 0.0)
+        for s in (0.0, 0.25, 0.5, 1.0):
+            assert _slice_cost(xs, ys, s, x_lo, 1.0, _QUAD) == reference_quad(xs, ys, s, x_lo)
+            assert _slice_cost(kx, ys, s, 0.0, 1.0, _KD_V) == reference_kd(kx, ys, s, "v")
+            assert _slice_cost(kx, ys, s, 0.0, 1.0, _KD_H) == reference_kd(kx, ys, s, "h")
 
 
 class TestCoordinateValidation:
