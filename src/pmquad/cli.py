@@ -19,6 +19,7 @@ path that cannot be written), 3 cap exceeded, 4 acceptance check failed
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,7 +43,7 @@ from .harness import (
     run_check,
     run_experiment,
 )
-from .moments import make_grid, psi_moments, second_moment_iterates, xi_perp_moments
+from .moments import psi_moments, second_moment_iterates, xi_perp_moments
 from .specfun import constants
 
 EXIT_OK = 0
@@ -72,6 +73,13 @@ def _threads(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _tol_scale(value: str) -> float:
+    x = float(value)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return x
 
 
 def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
@@ -155,8 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--variant", choices=("quad", "kd"), default="quad")
     ex.add_argument("--check", action="store_true",
                     help="evaluate the kind's acceptance bound; exit 4 on failure")
-    ex.add_argument("--tol-scale", type=float, default=1.0,
-                    help="scale every --check tolerance (diagnostics use only)")
+    ex.add_argument("--tol-scale", type=_tol_scale, default=1.0,
+                    help="scale every --check tolerance, finite and > 0 "
+                         "(diagnostics use only)")
     return p
 
 
@@ -195,22 +204,22 @@ def _apply_config(parser: argparse.ArgumentParser, argv) -> list:
     return front + argv[: i + 1] + after + argv[i + 1 :]
 
 
-def _cmd_constants(args) -> Table:
+def _cmd_constants(args) -> tuple:
     rows = constants().as_rows()
-    return Table(columns=["name", "value"], rows=rows, meta={})
+    return Table(columns=["name", "value"], rows=rows, meta={}), []
 
 
-def _cmd_moments(args) -> Table:
+def _cmd_moments(args) -> tuple:
     fn = psi_moments if args.family == "psi" else xi_perp_moments
     table = fn(args.max_order)
     rows = [(m, table.c(m)) for m in range(1, args.max_order + 1)]
-    return Table(columns=["m", "c_m"], rows=rows, meta={"family": args.family})
+    return Table(columns=["m", "c_m"], rows=rows, meta={"family": args.family}), []
 
 
-def _cmd_second_moment(args) -> Table:
-    gf = second_moment_iterates(args.iters, make_grid(args.grid))
+def _cmd_second_moment(args) -> tuple:
+    gf = second_moment_iterates(args.iters, args.grid)
     rows = list(zip(gf.grid.tolist(), gf.values.tolist()))
-    return Table(columns=["s", "m_n"], rows=rows, meta={"iters": args.iters})
+    return Table(columns=["s", "m_n"], rows=rows, meta={"iters": args.iters}), []
 
 
 def _replicated(block_fn, args, columns, meta) -> Table:
@@ -225,19 +234,19 @@ def _block_simulate_cost(args, lo, hi):
     return list(zip(range(lo, hi), costs.tolist()))
 
 
-def _cmd_simulate_cost(args) -> Table:
-    return _replicated(_block_simulate_cost, args, ["replication", "cost"],
-                       {"seed": args.seed, "tree": args.tree, "generator": _GENERATOR_NAME})
+def _cmd_simulate_cost(args) -> tuple:
+    meta = {"seed": args.seed, "tree": args.tree, "generator": _GENERATOR_NAME}
+    return _replicated(_block_simulate_cost, args, ["replication", "cost"], meta), []
 
 
-def _cmd_profile(args) -> Table:
+def _cmd_profile(args) -> tuple:
     xs, ys = quadtree.sample_uniform_xy(args.n, np.random.default_rng([args.seed, 0]))
     if args.tree == "quad":
         prof = quadtree.profile_xy(xs, ys)
     else:
         prof = kdtree.profile_xy(xs, ys, args.root_axis)
     rows = list(zip(prof.breakpoints, prof.values))
-    return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed})
+    return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed}), []
 
 
 def _block_simulate_limit(args, lo, hi):
@@ -246,16 +255,17 @@ def _block_simulate_limit(args, lo, hi):
     return list(zip(range(lo, hi), vals.tolist()))
 
 
-def _cmd_simulate_limit(args) -> Table:
+def _cmd_simulate_limit(args) -> tuple:
     if args.replications is not None:
         return _replicated(_block_simulate_limit, args, ["replication", "value"],
-                           {"seed": args.seed, "depth": args.depth})
+                           {"seed": args.seed, "depth": args.depth}), []
+    limitproc._check_path_grid(args.grid)  # before the grid is built
     grid = np.linspace(0.0, 1.0, args.grid)
     env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, 0))
     vals = limitproc.simulate_path(args.depth, grid, env, two_d=args.variant == "kd")
     rows = list(zip(grid.tolist(), vals.tolist()))
     return Table(columns=["s", "z_n"], rows=rows,
-                 meta={"seed": args.seed, "depth": args.depth})
+                 meta={"seed": args.seed, "depth": args.depth}), []
 
 
 def _block_diagnostics(args, lo, hi):
@@ -267,12 +277,12 @@ def _block_diagnostics(args, lo, hi):
     return list(zip(*columns))
 
 
-def _cmd_diagnostics(args) -> Table:
+def _cmd_diagnostics(args) -> tuple:
     columns = ["replication", "wn", "ln"]
     if args.fill_n is not None:
         columns.append("fillup")
     return _replicated(_block_diagnostics, args, columns,
-                       {"seed": args.seed, "depth": args.depth})
+                       {"seed": args.seed, "depth": args.depth}), []
 
 
 def _cmd_experiment(args) -> tuple:
@@ -293,6 +303,19 @@ def _cmd_experiment(args) -> tuple:
     return table, failures
 
 
+# Each handler returns (table, check failures).
+_COMMANDS = {
+    "constants": _cmd_constants,
+    "moments": _cmd_moments,
+    "second-moment": _cmd_second_moment,
+    "simulate-cost": _cmd_simulate_cost,
+    "profile": _cmd_profile,
+    "simulate-limit": _cmd_simulate_limit,
+    "diagnostics": _cmd_diagnostics,
+    "experiment": _cmd_experiment,
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -302,26 +325,8 @@ def main(argv=None) -> int:
         parser.exit(EXIT_USAGE, f"config error: {exc}\n")
     args = parser.parse_args(argv)
 
-    failures = []
     try:
-        if args.command == "constants":
-            table = _cmd_constants(args)
-        elif args.command == "moments":
-            table = _cmd_moments(args)
-        elif args.command == "second-moment":
-            table = _cmd_second_moment(args)
-        elif args.command == "simulate-cost":
-            table = _cmd_simulate_cost(args)
-        elif args.command == "profile":
-            table = _cmd_profile(args)
-        elif args.command == "simulate-limit":
-            table = _cmd_simulate_limit(args)
-        elif args.command == "diagnostics":
-            table = _cmd_diagnostics(args)
-        elif args.command == "experiment":
-            table, failures = _cmd_experiment(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
+        table, failures = _COMMANDS[args.command](args)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

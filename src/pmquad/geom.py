@@ -94,27 +94,10 @@ class StepProfile:
         values = np.cumsum(np.concatenate([[jump[zero].sum()], jump[step]]))
         return cls(np.concatenate([[0.0], pos[step]]), values)
 
-    @classmethod
-    def from_events(cls, events):
-        """Build from (position, integer delta) jump events; see ``from_extents``."""
-        events = list(events)
-        pos = np.array([p for p, _ in events], dtype=float)
-        delta = np.array([d for _, d in events], dtype=np.int64)
-        starts = np.repeat(pos, np.maximum(delta, 0))
-        return cls.from_extents(starts, np.repeat(pos, np.maximum(-delta, 0)))
-
     def eval(self, s: float) -> int:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"profile defined on [0, 1], got {s!r}")
         return self.values[bisect_right(self.breakpoints, s) - 1]
-
-    def segments(self):
-        """(lo, hi, value) triples; the final segment is closed at hi = 1."""
-        out = []
-        for i, v in enumerate(self.values):
-            hi = self.breakpoints[i + 1] if i + 1 < len(self.breakpoints) else 1.0
-            out.append((self.breakpoints[i], hi, v))
-        return out
 
     def max_segment(self):
         """(value, (lo, hi)) for the first segment attaining the maximum."""

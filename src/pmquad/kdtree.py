@@ -22,7 +22,6 @@ from .quadtree import (
     _profile_xy,
     _search,
     _slice_cost,
-    profile,
 )
 
 __all__ = [
@@ -31,8 +30,6 @@ __all__ = [
     "build_kd",
     "cost_parallel",
     "cost_perp",
-    "kd_profile",
-    "kd_supremum",
     "profile_xy",
     "decomposition_check",
     "vertical_decomposition_check",
@@ -64,15 +61,6 @@ def cost_perp(tree: Tree, s: float) -> int:
     if tree.root_axis != HORIZONTAL:
         raise AxisMismatchError("cost_perp needs a horizontal root axis")
     return _search(tree.root, s)
-
-
-def kd_profile(tree: Tree) -> StepProfile:
-    """Exact step function of the cost; breakpoints only at vertical split x's."""
-    return profile(tree)
-
-
-def kd_supremum(tree: Tree):
-    return kd_profile(tree).max_segment()
 
 
 def decomposition_check(tree: Tree, s: float) -> bool:
@@ -116,6 +104,7 @@ def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:
 
 
 def profile_xy(xs, ys, root_axis: str = VERTICAL) -> StepProfile:
-    """kd_profile(build_kd(points, root_axis)) of the points (xs, ys), without
-    building nodes: the quadtree's level-wise kernel under the 2-d tree rule."""
+    """quadtree.profile(build_kd(points, root_axis)) of the points (xs, ys),
+    without building nodes: the quadtree's level-wise kernel under the 2-d
+    tree rule."""
     return _profile_xy(xs, ys, _rule(root_axis))

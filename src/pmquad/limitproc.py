@@ -27,8 +27,6 @@ __all__ = [
     "LimitEnvironment",
     "env_seed",
     "g_apply",
-    "simulate_pointwise",
-    "simulate_pointwise_2d",
     "simulate_path",
     "simulate_many",
     "crossing_boxes",
@@ -321,12 +319,6 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
     return out
 
 
-def simulate_pointwise(n: int, s: float, env: LimitEnvironment) -> float:
-    """Z_n(s) for one environment (quadtree branching: shared vertical label)."""
-    seeds = np.array([env.seed & _M64], dtype=np.uint64)
-    return float(_crossing_sums(n, s, seeds, two_d=False)[0])
-
-
 def crossing_boxes(n: int, s: float, env: LimitEnvironment, two_d: bool = False):
     """(areas, relative positions) of the level-n boxes meeting x = s.
 
@@ -346,22 +338,18 @@ def crossing_boxes(n: int, s: float, env: LimitEnvironment, two_d: bool = False)
     return np.exp(log_area.reshape(-1)[order]), u.reshape(-1)[order]
 
 
-def simulate_pointwise_2d(n: int, s: float, env: LimitEnvironment) -> float:
-    """Z_n(s) for the 2-d tree variant: independent vertical labels per side."""
-    seeds = np.array([env.seed & _M64], dtype=np.uint64)
-    return float(_crossing_sums(n, s, seeds, two_d=True)[0])
+def _check_path_grid(size: int) -> None:
+    if size > _MAX_PATH_GRID:
+        raise CapExceededError(f"grid size {size} exceeds cap {_MAX_PATH_GRID}")
 
 
 def simulate_path(n: int, grid, env: LimitEnvironment, two_d: bool = False):
-    """Z_n on a grid of query positions from one environment.
-
-    Pointwise equal (bit for bit) to the single-point evaluators with the
-    same environment; the grid points run as the rows of one batched
-    expansion.
-    """
+    """Z_n on a grid of query positions from one environment; ``two_d``
+    gives the 2-d tree variant (independent vertical labels per side).  The
+    grid points run as the rows of one batched expansion, and a one-point
+    grid gives the same value at that point, bit for bit."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    if grid.size > _MAX_PATH_GRID:
-        raise CapExceededError(f"grid size {grid.size} exceeds cap {_MAX_PATH_GRID}")
+    _check_path_grid(grid.size)
     seeds = np.full(grid.size, env.seed & _M64, dtype=np.uint64)
     return _crossing_sums(n, grid, seeds, two_d)
 
@@ -371,8 +359,8 @@ def simulate_many(n: int, s: float, master_seed: int, reps: int,
     """Z_n(s) across ``reps`` independent environments with indices
     start .. start+reps-1.
 
-    Entry r equals simulate_pointwise(n, s, LimitEnvironment(env_seed(seed,
-    start + r))) exactly.
+    Entry r equals simulate_path(n, [s], LimitEnvironment(env_seed(
+    master_seed, start + r)), two_d)[0] exactly.
     """
     return _crossing_sums(n, s, _env_seeds(master_seed, start, reps), two_d)
 

@@ -177,8 +177,10 @@ class GridFunction:
         """Piecewise-linear interpolation at s (scalar or array)."""
         return np.interp(s, self.grid, self.values)
 
-    def sup_distance(self, other: "GridFunction") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
+
+def _check_grid(size: int) -> None:
+    if size > _MAX_GRID:
+        raise CapExceededError(f"grid of {size} points exceeds cap {_MAX_GRID}")
 
 
 def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
@@ -190,6 +192,8 @@ def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
     piecewise-linear representation accurate at the 1e-6 level.  ``extra``
     values are merged in (useful to place query positions exactly on grid).
     """
+    if n < 0:
+        raise ValueError(f"grid size must be >= 0, got {n}")
     t = np.linspace(0.0, 1.0, n + 2)
     if graded:
         g = t**4 * (35.0 - 84.0 * t + 70.0 * t**2 - 20.0 * t**3)
@@ -287,8 +291,7 @@ def apply_K(f: GridFunction) -> GridFunction:
         raise GridTooCoarseError(
             f"apply_K needs a grid of >= {_MIN_GRID} points, got {f.grid.size}"
         )
-    if f.grid.size > _MAX_GRID:
-        raise CapExceededError(f"grid of {f.grid.size} points exceeds cap {_MAX_GRID}")
+    _check_grid(f.grid.size)
     b = beta_exponent()
     grid, vals = f.grid, f.values
     key = grid.tobytes()
@@ -308,6 +311,7 @@ def second_moment_iterates(n: int, grid=None) -> GridFunction:
 
     ``grid`` may be None (default uniform grid), an integer (that many
     uniform points plus endpoints), or an explicit array of grid values.
+    The size is capped for any n, an integer's before the grid is built.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
@@ -316,9 +320,10 @@ def second_moment_iterates(n: int, grid=None) -> GridFunction:
     if grid is None:
         grid = make_grid()
     elif isinstance(grid, int):
+        _check_grid(grid + 2)
         grid = make_grid(grid)
-    else:
-        grid = np.asarray(grid, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    _check_grid(grid.size)
     b = beta_exponent()
     f = GridFunction(grid=grid, values=(grid * (1.0 - grid)) ** b)
     for _ in range(n):

@@ -44,7 +44,6 @@ __all__ = [
     "profile_xy",
     "supremum",
     "subtree_sizes",
-    "sample_poisson_tree",
     "sample_poisson_xy",
     "line_cost",
     "coupled_extension_cost",
@@ -205,7 +204,8 @@ def horizontal_crossings(tree: Tree, s: float) -> int:
 
 
 def profile(tree: Tree) -> StepProfile:
-    """The exact step function s -> cost(tree, s), from the node objects."""
+    """The exact step function s -> cost(tree, s) of a quadtree or a 2-d
+    tree, from the node objects."""
     cells = [node.cell for node in tree.nodes()]
     return StepProfile.from_extents([c.x0 for c in cells], [c.x1 for c in cells])
 
@@ -228,11 +228,6 @@ def sample_poisson_xy(t: float, rng) -> tuple:
         raise ValueError(f"intensity budget t must be >= 0, got {t}")
     n = int(rng.poisson(t))
     return sample_uniform_xy(n, rng)
-
-
-def sample_poisson_tree(t: float, rng) -> Tree:
-    """Quadtree of a unit-intensity Poisson process run for time t."""
-    return build(_points(*sample_poisson_xy(t, rng)))
 
 
 # A crossing slice carries the rule of its next split: quad narrows the

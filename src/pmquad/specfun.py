@@ -21,38 +21,12 @@ __all__ = [
     "constants",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients (Godfrey's tableau).  Relative
-# error is below 1e-13 on the positive real axis, comfortably inside the
-# 1e-12 budget needed so that cubic products of Gamma values stay near 1e-10.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
 
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0 via the Lanczos approximation."""
+    """Gamma function for real x > 0 (the standard library's ``math.gamma``)."""
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * series
+    return math.gamma(x)
 
 
 def beta_fn(a: float, b: float) -> float:

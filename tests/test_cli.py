@@ -1,12 +1,14 @@
+import argparse
 import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pmquad import kdtree, limitproc, quadtree
+from pmquad import cli, kdtree, limitproc, quadtree
 from pmquad.cli import main
 from pmquad.harness import Table, emit_csv, parse_csv
 from pmquad.quadtree import sample_uniform_points
@@ -231,7 +233,7 @@ class TestProfileMatchesObjectTrees:
         _, out, _ = run_cli(["--seed", str(seed), "profile", "--n", "300"] + tree, capsys)
         pts = sample_uniform_points(300, np.random.default_rng([seed, 0]))
         if tree:
-            prof = kdtree.kd_profile(kdtree.build_kd(pts, tree[-1]))
+            prof = quadtree.profile(kdtree.build_kd(pts, tree[-1]))
         else:
             prof = quadtree.profile(quadtree.build(pts))
         rows = list(zip(prof.breakpoints, prof.values))
@@ -478,3 +480,48 @@ class TestRefusedBeforeWork:
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "cap exceeded: grid of 3000002 points exceeds cap 16384\n"
         assert proc.stdout == ""
+
+
+def test_command_table_has_a_handler_per_subcommand():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(cli._COMMANDS) == set(sub.choices)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tol_scale_outside_finite_positive_exits_2(tmp_path, value):
+    argv = ["experiment", "--kind", "kd-mean", "--n", "4", "--replications", "4", "--check"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol-scale", value])
+    assert exc.value.code == 2
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(f"tol_scale = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["second-moment", "--iters", "0", "--grid", "20000"],
+         "grid of 20002 points exceeds cap 16384"),
+        (["second-moment", "--grid", "10000000"], "grid of 10000002 points exceeds cap 16384"),
+        (["simulate-limit", "--grid", "10000000"], "grid size 10000000 exceeds cap 10000"),
+    ],
+    ids=["second-moment-no-iters", "second-moment", "simulate-limit"],
+)
+def test_grid_cap_checked_before_the_grid_is_built(capsys, argv, err):
+    tracemalloc.start()
+    try:
+        code, out, stderr = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, stderr) == (3, "", f"cap exceeded: {err}\n")
+    assert peak < 4 * 2**20
+
+
+def test_negative_operator_grid_exits_2(capsys):
+    code, out, err = run_cli(["second-moment", "--iters", "0", "--grid", "-2"], capsys)
+    assert (code, out, err) == (2, "", "invalid arguments: grid size must be >= 0, got -2\n")

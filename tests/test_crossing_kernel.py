@@ -30,8 +30,6 @@ from pmquad.limitproc import (
     env_seed,
     simulate_many,
     simulate_path,
-    simulate_pointwise,
-    simulate_pointwise_2d,
 )
 from pmquad.moments import GridFunction, apply_K, make_grid
 from pmquad.specfun import beta_exponent, beta_fn
@@ -250,9 +248,9 @@ class TestSingleEnvironment:
     def test_pointwise(self, budget):
         for depth in (0, 3, 7, 10):
             for s in POSITIONS:
-                assert simulate_pointwise(depth, s, ENV) == reference_point(depth, s, ENV)
-                assert simulate_pointwise_2d(depth, s, ENV) == reference_point(
-                    depth, s, ENV, two_d=True)
+                for two_d in (False, True):
+                    assert simulate_path(depth, [s], ENV, two_d)[0] == reference_point(
+                        depth, s, ENV, two_d)
 
     def test_crossing_boxes(self, budget):
         seeds = np.array([ENV.seed], dtype=np.uint64)

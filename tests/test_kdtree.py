@@ -12,12 +12,10 @@ from pmquad.kdtree import (
     cost_parallel,
     cost_perp,
     decomposition_check,
-    kd_profile,
-    kd_supremum,
     line_cost,
     vertical_decomposition_check,
 )
-from pmquad.quadtree import horizontal_crossings
+from pmquad.quadtree import horizontal_crossings, profile, supremum
 from pmquad.quadtree import line_cost as quad_line_cost
 from pmquad.quadtree import sample_uniform_points, sample_uniform_xy
 
@@ -132,11 +130,11 @@ class TestCosts:
 
 class TestProfile:
     def test_single_vertical_is_constant_one(self):
-        p = kd_profile(build_kd(_pts((0.4, 0.6))))
+        p = profile(build_kd(_pts((0.4, 0.6))))
         assert p.breakpoints == [0.0] and p.values == [1]
 
     def test_two_point_horizontal_is_constant_two(self):
-        p = kd_profile(build_kd(TWO_POINTS, HORIZONTAL))
+        p = profile(build_kd(TWO_POINTS, HORIZONTAL))
         assert p.breakpoints == [0.0] and p.values == [2]
 
     def test_eval_matches_cost_both_flavors(self):
@@ -145,13 +143,13 @@ class TestProfile:
             n = int(srng.integers(1, 50))
             for axis, fn in ((VERTICAL, cost_parallel), (HORIZONTAL, cost_perp)):
                 t = _random_kd(500 + seed, n, axis)
-                p = kd_profile(t)
+                p = profile(t)
                 for s in srng.random(10):
                     assert p.eval(float(s)) == fn(t, float(s))
 
     def test_supremum_matches_grid_oracle(self):
         t = _random_kd(9, 80)
-        best, _ = kd_supremum(t)
+        best, _ = supremum(t)
         dense = np.linspace(0, 1, 2001)
         assert best == max(cost_parallel(t, float(s)) for s in dense)
 

@@ -16,8 +16,6 @@ from pmquad.limitproc import (
     g_apply,
     simulate_many,
     simulate_path,
-    simulate_pointwise,
-    simulate_pointwise_2d,
 )
 from pmquad.moments import make_grid, psi_moments, second_moment_iterates
 from pmquad.quadtree import build, sample_uniform_points, sample_uniform_xy
@@ -25,6 +23,11 @@ from pmquad.specfun import beta_exponent, h
 
 B = beta_exponent()
 ENV = LimitEnvironment(987654321)
+
+
+def _point(n, s, env, two_d=False):
+    """Z_n(s) in one environment: the path on a one-point grid."""
+    return simulate_path(n, [s], env, two_d)[0]
 
 
 def _oracle_var(depth, s):
@@ -101,28 +104,28 @@ class TestEnvironment:
 class TestSimulatePointwise:
     def test_depth_zero_is_h(self):
         for s in (0.0, 0.3, 0.5, 1.0):
-            assert simulate_pointwise(0, s, ENV) == h(s)
+            assert _point(0, s, ENV) == h(s)
 
     def test_depth_one_matches_operator_applied_to_h(self):
         u0, v0, _ = ENV.labels_at(())
         for s in (0.2, 0.5, 0.9):
-            assert simulate_pointwise(1, s, ENV) == pytest.approx(
+            assert _point(1, s, ENV) == pytest.approx(
                 g_apply(u0, v0, h, h, h, h, s), rel=1e-12
             )
 
     def test_vanishes_at_boundary(self):
-        assert simulate_pointwise(8, 0.0, ENV) == 0.0
-        assert simulate_pointwise(8, 1.0, ENV) == 0.0
+        assert _point(8, 0.0, ENV) == 0.0
+        assert _point(8, 1.0, ENV) == 0.0
 
     def test_depth_cap(self):
         with pytest.raises(CapExceededError):
-            simulate_pointwise(25, 0.5, ENV)
+            _point(25, 0.5, ENV)
 
     def test_path_equals_pointwise_bit_for_bit(self):
         grid = np.linspace(0.0, 1.0, 17)
         path = simulate_path(7, grid, ENV)
         for s, v in zip(grid, path):
-            assert v == simulate_pointwise(7, float(s), ENV)
+            assert v == _point(7, float(s), ENV)
 
     def test_path_grid_cap(self):
         with pytest.raises(CapExceededError):
@@ -132,7 +135,7 @@ class TestSimulatePointwise:
         vals = simulate_many(9, 0.4, 31337, 600)
         for r in (0, 1, 255, 256, 599):
             env = LimitEnvironment(env_seed(31337, r))
-            assert vals[r] == simulate_pointwise(9, 0.4, env)
+            assert vals[r] == _point(9, 0.4, env)
 
     def test_batch_start_offset(self):
         full = simulate_many(6, 0.3, 9, 500)
@@ -146,7 +149,7 @@ class TestSimulatePointwise:
         wn, ln = diagnostics_many(4, 9, 3, start=start)
         for r in range(3):
             env = LimitEnvironment(env_seed(9, start + r))
-            assert vals[r] == simulate_pointwise(5, 0.3, env)
+            assert vals[r] == _point(5, 0.3, env)
             assert (wn[r], ln[r]) == diagnostics(4, env)
 
 
@@ -159,7 +162,7 @@ class TestCrossingBoxes:
     def test_boxes_reproduce_simulated_value(self):
         areas, rel = crossing_boxes(10, 0.37, ENV)
         val = float(np.sum(areas**B * (rel * (1.0 - rel)) ** (B / 2.0)))
-        assert val == pytest.approx(simulate_pointwise(10, 0.37, ENV), rel=1e-12)
+        assert val == pytest.approx(_point(10, 0.37, ENV), rel=1e-12)
 
     def test_disjoint_boxes_occupy_at_most_unit_area(self):
         areas, _ = crossing_boxes(11, 0.61, ENV)
@@ -236,7 +239,7 @@ class TestMartingaleProperty:
 
 class TestTwoDVariant:
     def test_depth_zero_is_h(self):
-        assert simulate_pointwise_2d(0, 0.4, ENV) == h(0.4)
+        assert _point(0, 0.4, ENV, two_d=True) == h(0.4)
 
     def test_mean_is_h(self):
         vals = simulate_many(8, 0.4, 909, 30_000, two_d=True)
@@ -244,7 +247,7 @@ class TestTwoDVariant:
         assert abs(vals.mean() - h(0.4)) < 3 * se
 
     def test_differs_pathwise_from_quad_variant(self):
-        assert simulate_pointwise_2d(3, 0.6, ENV) != simulate_pointwise(3, 0.6, ENV)
+        assert _point(3, 0.6, ENV, two_d=True) != _point(3, 0.6, ENV)
 
     def test_marginal_moments_match_quad_variant(self):
         reps = 30_000

@@ -165,7 +165,7 @@ class TestApplyK:
         c2 = constants().c2
         g = make_grid(1024, graded=True)
         f = GridFunction(g, c2 * _h2(g))
-        residual = apply_K(f).sup_distance(f)
+        residual = np.max(np.abs(apply_K(f).values - f.values))
         assert residual <= 2e-6
 
     def test_fixed_point_floor_on_default_uniform_grid(self):
@@ -173,7 +173,7 @@ class TestApplyK:
         c2 = constants().c2
         g = make_grid(512)
         f = GridFunction(g, c2 * _h2(g))
-        residual = apply_K(f).sup_distance(f)
+        residual = np.max(np.abs(apply_K(f).values - f.values))
         assert residual <= 2.5e-4
         interior = (g > 0.05) & (g < 0.95)
         interior_res = np.max(np.abs(apply_K(f).values - f.values)[interior])

@@ -5,7 +5,8 @@ linked nodes; they are the reference for ``quadtree._node_extents`` (which
 works on x-ranks) and the ``profile_xy`` wrappers that sum its rank jumps.
 ``reference_from_events`` is the dict-based
 ``StepProfile.from_events`` from before ``from_extents`` existed, kept
-verbatim as the reference for the sort-and-cumsum canonical form.
+verbatim as the reference for ``from_extents``' sort-and-cumsum canonical
+form.
 """
 
 import re
@@ -27,10 +28,6 @@ RULES = (_QUAD, _KD_V, _KD_H)
 def object_tree(xs, ys, rule):
     pts = [Point2(float(x), float(y), i) for i, (x, y) in enumerate(zip(xs, ys))]
     return quadtree.build(pts) if rule == _QUAD else kdtree.build_kd(pts, AXIS[rule])
-
-
-def object_profile(tree):
-    return quadtree.profile(tree) if tree.root_axis is None else kdtree.kd_profile(tree)
 
 
 def profile_xy(xs, ys, rule):
@@ -103,11 +100,10 @@ class TestNodeExtentsMatchObjectTrees:
                 profile_xy(xs, ys, rule)
             return
         prof = profile_xy(xs, ys, rule)
-        expect = object_profile(tree)
+        expect = quadtree.profile(tree)
         assert prof == expect
         assert prof.max_segment() == expect.max_segment()
-        oracle_sup = quadtree.supremum(tree) if rule == _QUAD else kdtree.kd_supremum(tree)
-        assert prof.max_segment() == oracle_sup
+        assert prof.max_segment() == quadtree.supremum(tree)
         lo, hi, pos, counts = _node_extents(xs, ys, rule)
         x0, x1 = pos[lo], pos[hi]
         assert counts == depth_counts(tree)
@@ -122,10 +118,8 @@ class TestNodeExtentsMatchObjectTrees:
         xs[rng.integers(20000)], ys[rng.integers(20000)] = -0.0, 1.0
         tree = object_tree(xs, ys, rule)
         prof = profile_xy(xs, ys, rule)
-        assert prof == object_profile(tree)
-        assert prof.max_segment() == (
-            quadtree.supremum(tree) if rule == _QUAD else kdtree.kd_supremum(tree)
-        )
+        assert prof == quadtree.profile(tree)
+        assert prof.max_segment() == quadtree.supremum(tree)
         lo, hi, pos, counts = _node_extents(xs, ys, rule)
         assert counts == depth_counts(tree)
         assert sorted(zip(pos[lo].tolist(), pos[hi].tolist())) == sorted(
@@ -196,12 +190,6 @@ events = st.lists(
 class TestFromExtents:
     @given(events)
     @settings(max_examples=300, deadline=None)
-    def test_from_events_matches_reference(self, evs):
-        p = StepProfile.from_events(evs)
-        assert (p.breakpoints, p.values) == reference_from_events(evs)
-
-    @given(events)
-    @settings(max_examples=300, deadline=None)
     def test_from_extents_matches_unit_events(self, evs):
         x0 = [pos for pos, d in evs if d > 0]
         x1 = [pos for pos, d in evs if d < 0]
@@ -214,10 +202,12 @@ class TestFromExtents:
     @given(events)
     @settings(max_examples=300, deadline=None)
     def test_max_segment_is_the_first_maximum(self, evs):
-        p = StepProfile.from_events(evs)
+        p = StepProfile.from_extents([pos for pos, d in evs if d > 0],
+                                     [pos for pos, d in evs if d < 0])
         best = max(p.values)
-        first = next((lo, hi) for lo, hi, v in p.segments() if v == best)
-        assert p.max_segment() == (best, first)
+        i = p.values.index(best)
+        ends = p.breakpoints[1:] + [1.0]
+        assert p.max_segment() == (best, (p.breakpoints[i], ends[i]))
 
     def test_max_segment_tie(self):
         p = StepProfile([0.0, 0.25, 0.5, 0.75], [1, 3, 1, 3])

@@ -58,7 +58,6 @@ ORACLE = [
     kdtree.build_kd,
     kdtree.cost_parallel,
     kdtree.cost_perp,
-    kdtree.kd_profile,
     kdtree.decomposition_check,
     kdtree.vertical_decomposition_check,
     limitproc.fill_up_level,

@@ -17,7 +17,6 @@ from pmquad.quadtree import (
     line_cost,
     profile,
     sample_extension_xy,
-    sample_poisson_tree,
     sample_poisson_xy,
     sample_uniform_points,
     sample_uniform_xy,
@@ -65,7 +64,7 @@ class TestGeom:
             StepProfile([0.0, 0.5, 0.4], [1, 2, 3])
 
     def test_profile_eval_and_events(self):
-        p = StepProfile.from_events([(0.0, 1), (0.25, 1), (0.25, 1), (0.5, -2)])
+        p = StepProfile.from_extents([0.0, 0.25, 0.25], [0.5, 0.5])
         assert p.breakpoints == [0.0, 0.25, 0.5]
         assert p.values == [1, 3, 1]
         assert p.eval(0.0) == 1
@@ -269,8 +268,8 @@ class TestSampling:
         assert abs(float(xs.mean()) - 0.5) < 3 * se
 
     def test_poisson_zero_budget(self):
-        t = sample_poisson_tree(0.0, np.random.default_rng(1))
-        assert t.size == 0
+        xs, ys = sample_poisson_xy(0.0, np.random.default_rng(1))
+        assert xs.size == ys.size == 0
 
     def test_poisson_count_mean(self):
         rng = np.random.default_rng(2024)
