@@ -28,7 +28,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import kdtree, limitproc, quadtree
+from . import kdtree, limitproc, moments, quadtree
 from .errors import CapExceededError
 from .harness import (
     EXPERIMENT_KINDS,
@@ -217,7 +217,8 @@ def _cmd_moments(args) -> tuple:
 
 
 def _cmd_second_moment(args) -> tuple:
-    gf = second_moment_iterates(args.iters, args.grid)
+    moments._check_grid(args.grid + 2)  # before the grid is built
+    gf = second_moment_iterates(args.iters, moments.make_grid(args.grid))
     rows = list(zip(gf.grid.tolist(), gf.values.tolist()))
     return Table(columns=["s", "m_n"], rows=rows, meta={"iters": args.iters}), []
 
@@ -256,13 +257,14 @@ def _block_simulate_limit(args, lo, hi):
 
 
 def _cmd_simulate_limit(args) -> tuple:
+    limitproc._check_positions(args.s)  # path mode does not read --s, but it is refused too
     if args.replications is not None:
         return _replicated(_block_simulate_limit, args, ["replication", "value"],
                            {"seed": args.seed, "depth": args.depth}), []
     limitproc._check_path_grid(args.grid)  # before the grid is built
     grid = np.linspace(0.0, 1.0, args.grid)
-    env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, 0))
-    vals = limitproc.simulate_path(args.depth, grid, env, two_d=args.variant == "kd")
+    vals = limitproc.simulate_path(args.depth, grid, limitproc.env_seed(args.seed, 0),
+                                   two_d=args.variant == "kd")
     rows = list(zip(grid.tolist(), vals.tolist()))
     return Table(columns=["s", "z_n"], rows=rows,
                  meta={"seed": args.seed, "depth": args.depth}), []

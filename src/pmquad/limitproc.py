@@ -8,14 +8,13 @@ matter: there are exactly 2^n of them at level n, and
     Z_n(s) = sum over crossing boxes  Leb(Q)^beta * h((s - l)/(r - l)),
 
 with [l, r) the box's x-projection.  Labels (U_v, V_v, W_v) attached to tree
-addresses come from a keyed counter hash, so any address yields the same
-labels on every access without storing 4^n values, and evaluation is
-vectorizable across boxes and across independent environments.
+addresses come from a keyed counter hash of (seed, address), so an
+environment is one 64-bit seed (ints are taken mod 2^64), any address yields
+the same labels on every access without storing 4^n values, and evaluation
+is vectorizable across boxes and across independent environments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .quadtree import _QUAD, Tree, _node_extents
 from .specfun import beta_exponent
 
 __all__ = [
-    "LimitEnvironment",
     "env_seed",
+    "labels_at",
     "g_apply",
     "simulate_path",
     "simulate_many",
@@ -90,27 +89,18 @@ def _env_seeds(master_seed: int, start: int, reps: int) -> np.ndarray:
     return _mix64_arr(np.uint64(base) + idx * np.uint64(_GOLDEN))
 
 
-@dataclass(frozen=True)
-class LimitEnvironment:
-    """Random labels on the infinite quaternary tree, keyed by (seed, address).
-
-    Addresses are words over {1, 2, 3, 4}; the same address always yields the
-    same label triple, so pointwise and path evaluation of one environment
-    agree bit for bit.
-    """
-
-    seed: int
-
-    def labels_at(self, address=()):
-        """(U, V, W) at a tree address given as a tuple over {1, 2, 3, 4}."""
-        seed = self.seed & _M64
-        state = (seed + _GOLDEN3) & _M64
-        for d in address:
-            if d not in (1, 2, 3, 4):
-                raise ValueError(f"address digits must be in 1..4, got {d!r}")
-            state = (4 * state - 3 * seed + (d - 1) * _GOLDEN3) & _M64
-        state = np.array([state], dtype=np.uint64)
-        return tuple(float(_label_uniforms(state, i)[0]) for i in range(3))
+def labels_at(seed: int, address=()):
+    """(U, V, W) at a tree address, a tuple over {1, 2, 3, 4}, in the
+    environment of ``seed``.  The same (seed, address) always yields the same
+    triple, so pointwise and path evaluation agree bit for bit."""
+    seed &= _M64
+    state = (seed + _GOLDEN3) & _M64
+    for d in address:
+        if d not in (1, 2, 3, 4):
+            raise ValueError(f"address digits must be in 1..4, got {d!r}")
+        state = (4 * state - 3 * seed + (d - 1) * _GOLDEN3) & _M64
+    state = np.array([state], dtype=np.uint64)
+    return tuple(float(_label_uniforms(state, i)[0]) for i in range(3))
 
 
 def g_apply(x: float, y: float, f1, f2, f3, f4, s: float) -> float:
@@ -256,11 +246,17 @@ def _box_sums(log_area, u) -> np.ndarray:
     return _pairwise_fold(terms.reshape(m, -1))
 
 
-def _check_query(n: int, s) -> np.ndarray:
+def _check_positions(s) -> np.ndarray:
+    """``s`` as a float array, if every query position lies in [0, 1]."""
     s = np.asarray(s, dtype=float)
     bad = ~((s >= 0.0) & (s <= 1.0))
     if bad.any():
         raise ValueError(f"query position must lie in [0, 1], got {float(s[bad][0])!r}")
+    return s
+
+
+def _check_query(n: int, s) -> np.ndarray:
+    s = _check_positions(s)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if n > _MAX_POINTWISE_DEPTH:
@@ -319,7 +315,7 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
     return out
 
 
-def crossing_boxes(n: int, s: float, env: LimitEnvironment, two_d: bool = False):
+def crossing_boxes(n: int, s: float, seed: int, two_d: bool = False):
     """(areas, relative positions) of the level-n boxes meeting x = s.
 
     Introspection view of the same expansion the simulators run, in
@@ -328,7 +324,7 @@ def crossing_boxes(n: int, s: float, env: LimitEnvironment, two_d: bool = False)
     sum(areas^beta * h(u)) reproduces the simulated value.
     """
     s = _check_query(n, s)
-    seeds = np.array([env.seed & _M64], dtype=np.uint64)
+    seeds = np.array([seed & _M64], dtype=np.uint64)
     log_area, u = _leaves(*_roots(s, seeds), n, two_d)
     u = np.broadcast_to(u, log_area.shape)
     # halves order to breadth-first order: reverse the n path bits
@@ -339,18 +335,20 @@ def crossing_boxes(n: int, s: float, env: LimitEnvironment, two_d: bool = False)
 
 
 def _check_path_grid(size: int) -> None:
+    if size < 0:
+        raise ValueError(f"grid size must be >= 0, got {size}")
     if size > _MAX_PATH_GRID:
         raise CapExceededError(f"grid size {size} exceeds cap {_MAX_PATH_GRID}")
 
 
-def simulate_path(n: int, grid, env: LimitEnvironment, two_d: bool = False):
-    """Z_n on a grid of query positions from one environment; ``two_d``
+def simulate_path(n: int, grid, seed: int, two_d: bool = False):
+    """Z_n on a grid of query positions in the environment of ``seed``; ``two_d``
     gives the 2-d tree variant (independent vertical labels per side).  The
     grid points run as the rows of one batched expansion, and a one-point
     grid gives the same value at that point, bit for bit."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_path_grid(grid.size)
-    seeds = np.full(grid.size, env.seed & _M64, dtype=np.uint64)
+    seeds = np.full(grid.size, seed & _M64, dtype=np.uint64)
     return _crossing_sums(n, grid, seeds, two_d)
 
 
@@ -359,8 +357,8 @@ def simulate_many(n: int, s: float, master_seed: int, reps: int,
     """Z_n(s) across ``reps`` independent environments with indices
     start .. start+reps-1.
 
-    Entry r equals simulate_path(n, [s], LimitEnvironment(env_seed(
-    master_seed, start + r)), two_d)[0] exactly.
+    Entry r equals simulate_path(n, [s], env_seed(master_seed, start + r),
+    two_d)[0] exactly.
     """
     return _crossing_sums(n, s, _env_seeds(master_seed, start, reps), two_d)
 
@@ -409,10 +407,11 @@ def _diagnostics(n: int, seeds: np.ndarray):
     return wn, ln
 
 
-def diagnostics(n: int, env: LimitEnvironment):
-    """(W_n, L_n): max cell x-width at level n and min gap between distinct
-    vertical-boundary x-coordinates, over the full 4^n-cell enumeration."""
-    wn, ln = _diagnostics(n, np.array([env.seed & _M64], dtype=np.uint64))
+def diagnostics(n: int, seed: int):
+    """(W_n, L_n) in the environment of ``seed``: max cell x-width at level n
+    and min gap between distinct vertical-boundary x-coordinates, over the
+    full 4^n-cell enumeration."""
+    wn, ln = _diagnostics(n, np.array([seed & _M64], dtype=np.uint64))
     return float(wn[0]), float(ln[0])
 
 

@@ -69,6 +69,32 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _binomial_beta_sum(m: int, ls, c, logc, pref: float, log_pref: float):
+    """(value, log value) of pref * sum_{l in ls} C(m,l) B(b l + 1, b (m-l) + 1) c[l] c[m-l].
+
+    Below _LOG_SPACE_FROM the sum is direct; from there on it runs in log
+    space on logc[l] = log c[l] and log_pref, where the terms would overflow.
+    """
+    b = beta_exponent()
+    if m < _LOG_SPACE_FROM:
+        total = 0.0
+        for l in ls:
+            total += math.comb(m, l) * beta_fn(b * l + 1.0, b * (m - l) + 1.0) * c[l] * c[m - l]
+        value = pref * total
+        return value, math.log(value)
+    terms = [
+        math.lgamma(m + 1) - math.lgamma(l + 1) - math.lgamma(m - l + 1)
+        + _log_beta(b * l + 1.0, b * (m - l) + 1.0)
+        + logc[l]
+        + logc[m - l]
+        for l in ls
+    ]
+    peak = max(terms)
+    logsum = peak + math.log(sum(math.exp(t - peak) for t in terms))
+    log_value = log_pref + logsum
+    return math.exp(log_value), log_value
+
+
 def psi_moments(max_order: int) -> MomentTable:
     """Moments of the normalized marginal: c_1 = 1 and, for m >= 2,
 
@@ -80,36 +106,14 @@ def psi_moments(max_order: int) -> MomentTable:
     if max_order > _MAX_ORDER:
         raise CapExceededError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
     b = beta_exponent()
-    logc = [0.0]  # log c_1
-    c = [1.0]
+    c = [1.0, 1.0]  # c[l] = c_l with c_0 = 1
+    logc = [0.0, 0.0]
     for m in range(2, max_order + 1):
         pref = (b * m + 1.0) / ((m - 1) * (m + 1.0 - 1.5 * b * m))
-        if m < _LOG_SPACE_FROM:
-            total = 0.0
-            for l in range(1, m):
-                total += (
-                    math.comb(m, l)
-                    * beta_fn(b * l + 1.0, b * (m - l) + 1.0)
-                    * c[l - 1]
-                    * c[m - l - 1]
-                )
-            cm = pref * total
-            logc.append(math.log(cm))
-        else:
-            terms = [
-                math.lgamma(m + 1) - math.lgamma(l + 1) - math.lgamma(m - l + 1)
-                + _log_beta(b * l + 1.0, b * (m - l) + 1.0)
-                + logc[l - 1]
-                + logc[m - l - 1]
-                for l in range(1, m)
-            ]
-            peak = max(terms)
-            logsum = peak + math.log(sum(math.exp(t - peak) for t in terms))
-            logcm = math.log(pref) + logsum
-            logc.append(logcm)
-            cm = math.exp(logcm)
+        cm, logcm = _binomial_beta_sum(m, range(1, m), c, logc, pref, math.log(pref))
         c.append(cm)
-    return MomentTable(values=tuple(c), max_order=max_order)
+        logc.append(logcm)
+    return MomentTable(values=tuple(c[1:]), max_order=max_order)
 
 
 def xi_perp_moments(max_order: int) -> MomentTable:
@@ -117,38 +121,14 @@ def xi_perp_moments(max_order: int) -> MomentTable:
 
     E[Xi_perp^m] = ((b+1)/2)^m sum_{l=0}^m C(m,l) B(b l + 1, b (m-l) + 1) c_l c_{m-l}
 
-    with c_0 = c_1 = 1 and c_l from ``psi_moments``.
+    with c_0 = c_1 = 1 and c_l from ``psi_moments`` (which checks max_order).
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if max_order > _MAX_ORDER:
-        raise CapExceededError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
     b = beta_exponent()
-    psi = psi_moments(max_order)
-    c = [1.0] + list(psi.values)  # c[l] = c_l with c_0 = 1
-    out = []
-    for m in range(1, max_order + 1):
-        if m < _LOG_SPACE_FROM:
-            total = 0.0
-            for l in range(0, m + 1):
-                total += (
-                    math.comb(m, l)
-                    * beta_fn(b * l + 1.0, b * (m - l) + 1.0)
-                    * c[l]
-                    * c[m - l]
-                )
-            out.append(((b + 1.0) / 2.0) ** m * total)
-        else:
-            terms = [
-                math.lgamma(m + 1) - math.lgamma(l + 1) - math.lgamma(m - l + 1)
-                + _log_beta(b * l + 1.0, b * (m - l) + 1.0)
-                + math.log(c[l])
-                + math.log(c[m - l])
-                for l in range(0, m + 1)
-            ]
-            peak = max(terms)
-            logsum = peak + math.log(sum(math.exp(t - peak) for t in terms))
-            out.append(math.exp(m * math.log((b + 1.0) / 2.0) + logsum))
+    c = [1.0, *psi_moments(max_order).values]  # c[l] = c_l with c_0 = 1
+    logc = [math.log(v) for v in c]
+    q = (b + 1.0) / 2.0
+    out = [_binomial_beta_sum(m, range(m + 1), c, logc, q**m, m * math.log(q))[0]
+           for m in range(1, max_order + 1)]
     return MomentTable(values=tuple(out), max_order=max_order)
 
 
@@ -306,22 +286,14 @@ def apply_K(f: GridFunction) -> GridFunction:
     return GridFunction(grid=grid, values=scale * (edge[:n] + edge[n:]) + inhom)
 
 
-def second_moment_iterates(n: int, grid=None) -> GridFunction:
-    """K^n applied to h^2: the exact second moment of the level-n approximant.
-
-    ``grid`` may be None (default uniform grid), an integer (that many
-    uniform points plus endpoints), or an explicit array of grid values.
-    The size is capped for any n, an integer's before the grid is built.
-    """
+def second_moment_iterates(n: int, grid) -> GridFunction:
+    """K^n applied to h^2 on ``grid`` (a ``make_grid`` array): the exact
+    second moment of the level-n approximant.  The grid size is capped for
+    any n."""
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
     if n > _MAX_ITER:
         raise CapExceededError(f"iteration count {n} exceeds cap {_MAX_ITER}")
-    if grid is None:
-        grid = make_grid()
-    elif isinstance(grid, int):
-        _check_grid(grid + 2)
-        grid = make_grid(grid)
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid.size)
     b = beta_exponent()

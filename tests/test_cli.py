@@ -264,8 +264,17 @@ class TestOutputFiles:
             ["simulate-limit", "--depth", "4", "--grid", "0"],
             ["--out", "{tmp}/missing/dir/x.csv", "constants"],
             ["--out", "{tmp}", "constants"],
+            ["experiment", "--kind", "kd-mean", "--n", "5", "--s", "3", "--replications", "2"],
+            ["experiment", "--kind", "kd-mean", "--n", "5", "--s", "nan", "--replications", "2"],
+            ["experiment", "--kind", "mean-profile", "--n", "5", "--s-grid", "0.5", "1.5",
+             "--replications", "2"],
+            ["simulate-limit", "--s", "3", "--depth", "2", "--grid", "3"],
+            ["simulate-limit", "--s", "-0.5", "--depth", "2", "--replications", "2"],
+            ["simulate-limit", "--grid", "-1"],
         ],
-        ids=["no-replications", "empty-grid", "missing-dir", "out-is-dir"],
+        ids=["no-replications", "empty-grid", "missing-dir", "out-is-dir", "experiment-s-3",
+             "experiment-s-nan", "experiment-s-grid", "limit-path-s", "limit-reps-s",
+             "negative-path-grid"],
     )
     def test_usage_errors_exit_2_without_traceback(self, tmp_path, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -356,7 +365,7 @@ def _oracle_diagnostics(args) -> Table:
     if args.fill_n is not None:
         columns.append("fillup")
     for r in range(args.replications):
-        env = limitproc.LimitEnvironment(limitproc.env_seed(args.seed, r))
+        env = limitproc.env_seed(args.seed, r)
         wn, ln = limitproc.diagnostics(args.depth, env)
         row = [r, wn, ln]
         if args.fill_n is not None:
@@ -525,3 +534,8 @@ def test_grid_cap_checked_before_the_grid_is_built(capsys, argv, err):
 def test_negative_operator_grid_exits_2(capsys):
     code, out, err = run_cli(["second-moment", "--iters", "0", "--grid", "-2"], capsys)
     assert (code, out, err) == (2, "", "invalid arguments: grid size must be >= 0, got -2\n")
+
+
+def test_negative_path_grid_exits_2(capsys):
+    code, out, err = run_cli(["simulate-limit", "--depth", "2", "--grid", "-1"], capsys)
+    assert (code, out, err) == (2, "", "invalid arguments: grid size must be >= 0, got -1\n")

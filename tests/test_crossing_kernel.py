@@ -23,11 +23,11 @@ import pmquad
 from pmquad import limitproc, moments
 from pmquad.errors import CapExceededError
 from pmquad.limitproc import (
-    LimitEnvironment,
     crossing_boxes,
     diagnostics,
     diagnostics_many,
     env_seed,
+    labels_at,
     simulate_many,
     simulate_path,
 )
@@ -123,8 +123,8 @@ def reference_many(n, s, master_seed, reps, two_d=False, start=0):
     return out
 
 
-def reference_point(n, s, env, two_d=False):
-    return float(reference_expand(n, s, np.array([env.seed], dtype=np.uint64), two_d)[0])
+def reference_point(n, s, seed, two_d=False):
+    return float(reference_expand(n, s, np.array([seed], dtype=np.uint64), two_d)[0])
 
 
 def reference_diagnostics(n: int, seed: int):
@@ -197,7 +197,7 @@ def reference_apply_k(f: GridFunction) -> GridFunction:
     return GridFunction(grid=grid, values=out)
 
 
-ENV = LimitEnvironment(987654321)
+ENV = 987654321
 GRID = make_grid(512, extra=(0.4,))
 # query positions: the ends, the middle, and values taken from a grid
 POSITIONS = (0.0, -0.0, 1.0, 0.5, float(GRID[137]), float(1.0 - GRID[400]), 0.4)
@@ -253,7 +253,7 @@ class TestSingleEnvironment:
                         depth, s, ENV, two_d)
 
     def test_crossing_boxes(self, budget):
-        seeds = np.array([ENV.seed], dtype=np.uint64)
+        seeds = np.array([ENV], dtype=np.uint64)
         for two_d in (False, True):
             for depth in (0, 1, 2, 7):
                 for s in (0.0, 0.37, 1.0):
@@ -390,14 +390,14 @@ def test_labels_at_heap_code():
                 code = 4 * code + d - 1
             state = np.array([code], dtype=np.uint64) * np.uint64(_GOLDEN3) + np.uint64(seed)
             want = tuple(float(_label_uniforms(state, f)[0]) for f in range(3))
-            assert LimitEnvironment(seed).labels_at(address) == want
+            assert labels_at(seed, address) == want
 
 
 class TestDiagnostics:
     @pytest.mark.parametrize("depth", range(8))
     def test_one_environment(self, budget, depth):
         for seed in (0, 3, 2**64 - 1):
-            assert diagnostics(depth, LimitEnvironment(seed)) == reference_diagnostics(depth, seed)
+            assert diagnostics(depth, seed) == reference_diagnostics(depth, seed)
 
     @pytest.mark.parametrize("depth", range(8))
     def test_many_environments(self, budget, depth):

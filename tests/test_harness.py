@@ -277,7 +277,7 @@ class TestRunExperiment:
         assert buf1.getvalue() == buf2.getvalue()
 
     def test_limit_moments_against_pointwise(self):
-        from pmquad.limitproc import LimitEnvironment, env_seed, simulate_path
+        from pmquad.limitproc import env_seed, simulate_path
 
         spec = ExperimentSpec(
             kind="limit-moments", depth=4, s=0.3, replications=300, seed=21
@@ -287,7 +287,7 @@ class TestRunExperiment:
         mean = row[2]
         direct = np.mean(
             [
-                simulate_path(4, [0.3], LimitEnvironment(env_seed(21, r)))[0]
+                simulate_path(4, [0.3], env_seed(21, r))[0]
                 for r in range(300)
             ]
         )

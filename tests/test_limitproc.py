@@ -6,7 +6,6 @@ import pytest
 from pmquad.errors import CapExceededError
 from pmquad.geom import Point2
 from pmquad.limitproc import (
-    LimitEnvironment,
     crossing_boxes,
     diagnostics,
     diagnostics_many,
@@ -14,6 +13,7 @@ from pmquad.limitproc import (
     fill_up_level,
     fill_up_level_xy,
     g_apply,
+    labels_at,
     simulate_many,
     simulate_path,
 )
@@ -22,7 +22,7 @@ from pmquad.quadtree import build, sample_uniform_points, sample_uniform_xy
 from pmquad.specfun import beta_exponent, h
 
 B = beta_exponent()
-ENV = LimitEnvironment(987654321)
+ENV = 987654321
 
 
 def _point(n, s, env, two_d=False):
@@ -76,29 +76,41 @@ class TestGApply:
 
 class TestEnvironment:
     def test_labels_deterministic_per_address(self):
-        a = ENV.labels_at((1, 3, 2))
-        b = LimitEnvironment(987654321).labels_at((1, 3, 2))
+        a = labels_at(ENV, (1, 3, 2))
+        b = labels_at(987654321, (1, 3, 2))
         assert a == b
 
     def test_labels_differ_across_addresses_and_seeds(self):
-        assert ENV.labels_at((1,)) != ENV.labels_at((2,))
-        assert ENV.labels_at(()) != LimitEnvironment(1).labels_at(())
+        assert labels_at(ENV, (1,)) != labels_at(ENV, (2,))
+        assert labels_at(ENV, ()) != labels_at(1, ())
 
     def test_labels_in_open_interval(self):
         for addr in ((), (1,), (4, 4, 4, 4)):
-            for v in ENV.labels_at(addr):
+            for v in labels_at(ENV, addr):
                 assert 0.0 < v < 1.0
 
     def test_bad_address_digit(self):
         with pytest.raises(ValueError):
-            ENV.labels_at((0,))
+            labels_at(ENV, (0,))
 
     def test_label_family_is_uniform(self):
         us = np.array(
-            [LimitEnvironment(env_seed(5, r)).labels_at(())[0] for r in range(4000)]
+            [labels_at(env_seed(5, r), ())[0] for r in range(4000)]
         )
         assert abs(us.mean() - 0.5) < 3 * (1 / math.sqrt(12)) / math.sqrt(4000)
         assert abs(us.var() - 1.0 / 12.0) < 0.005
+
+    @pytest.mark.parametrize("seed", [0, 987654321, 2**64 - 1])
+    def test_seeds_wrap_mod_2_64(self, seed):
+        grid = [0.0, 0.3, 0.71, 1.0]
+        want = (labels_at(seed, (2, 4, 1)), simulate_path(6, grid, seed),
+                crossing_boxes(5, 0.3, seed), diagnostics(4, seed))
+        for alias in (seed + 2**64, seed - 2**64):
+            assert labels_at(alias, (2, 4, 1)) == want[0]
+            assert np.array_equal(simulate_path(6, grid, alias), want[1])
+            areas, rel = crossing_boxes(5, 0.3, alias)
+            assert np.array_equal(areas, want[2][0]) and np.array_equal(rel, want[2][1])
+            assert diagnostics(4, alias) == want[3]
 
 
 class TestSimulatePointwise:
@@ -107,7 +119,7 @@ class TestSimulatePointwise:
             assert _point(0, s, ENV) == h(s)
 
     def test_depth_one_matches_operator_applied_to_h(self):
-        u0, v0, _ = ENV.labels_at(())
+        u0, v0, _ = labels_at(ENV, ())
         for s in (0.2, 0.5, 0.9):
             assert _point(1, s, ENV) == pytest.approx(
                 g_apply(u0, v0, h, h, h, h, s), rel=1e-12
@@ -134,7 +146,7 @@ class TestSimulatePointwise:
     def test_batch_equals_single_environments(self):
         vals = simulate_many(9, 0.4, 31337, 600)
         for r in (0, 1, 255, 256, 599):
-            env = LimitEnvironment(env_seed(31337, r))
+            env = env_seed(31337, r)
             assert vals[r] == _point(9, 0.4, env)
 
     def test_batch_start_offset(self):
@@ -148,7 +160,7 @@ class TestSimulatePointwise:
         vals = simulate_many(5, 0.3, 9, 3, start=start)
         wn, ln = diagnostics_many(4, 9, 3, start=start)
         for r in range(3):
-            env = LimitEnvironment(env_seed(9, start + r))
+            env = env_seed(9, start + r)
             assert vals[r] == _point(5, 0.3, env)
             assert (wn[r], ln[r]) == diagnostics(4, env)
 
@@ -223,7 +235,7 @@ class TestMartingaleProperty:
         for n in (2, 5, 8):
             ds = []
             for r in range(150):
-                env = LimitEnvironment(env_seed(606, r))
+                env = env_seed(606, r)
                 ds.append(
                     np.max(
                         np.abs(
@@ -264,7 +276,7 @@ class TestDiagnostics:
         assert diagnostics(0, ENV) == (1.0, 1.0)
 
     def test_depth_one_from_root_label(self):
-        u0 = ENV.labels_at(())[0]
+        u0 = labels_at(ENV, ())[0]
         wn, ln = diagnostics(1, ENV)
         assert wn == pytest.approx(max(u0, 1.0 - u0), rel=1e-15)
         assert ln == pytest.approx(min(u0, 1.0 - u0), rel=1e-15)

@@ -235,13 +235,13 @@ class TestApplyK:
 
 class TestSecondMomentIterates:
     def test_zero_iterations_is_h_squared(self):
-        m0 = second_moment_iterates(0)
+        m0 = second_moment_iterates(0, make_grid())
         assert np.array_equal(m0.values, _h2(m0.grid))
 
     def test_monotone_nondecreasing_in_n(self):
-        prev = second_moment_iterates(0)
+        prev = second_moment_iterates(0, make_grid())
         for n in (1, 2, 3):
-            cur = second_moment_iterates(n)
+            cur = second_moment_iterates(n, make_grid())
             assert np.all(cur.values >= prev.values - 1e-12)
             prev = cur
 
@@ -260,7 +260,7 @@ class TestSecondMomentIterates:
 
     def test_iteration_cap(self):
         with pytest.raises(CapExceededError):
-            second_moment_iterates(31)
+            second_moment_iterates(31, make_grid())
 
     def test_first_iterate_against_closed_form(self):
         # K(h^2)(s) = (2 c2^{-1}-independent): the two edge integrals of h^2
