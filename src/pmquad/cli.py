@@ -236,6 +236,8 @@ def _block_simulate_cost(args, lo, hi):
 
 
 def _cmd_simulate_cost(args) -> tuple:
+    if args.poisson is not None:
+        quadtree._check_budget(args.poisson)  # before any block runs
     meta = {"seed": args.seed, "tree": args.tree, "generator": _GENERATOR_NAME}
     return _replicated(_block_simulate_cost, args, ["replication", "cost"], meta), []
 

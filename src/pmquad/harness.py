@@ -39,6 +39,13 @@ __all__ = [
 ]
 
 _BLOCK = 256  # fixed scheduling unit; never derived from the worker count
+# Trees of up to _BATCH_MAX points are counted by quadtree._batch_line_costs
+# in calls of at most _BATCH_POINTS points: per tree that takes a fifth of
+# line_cost's time at n = 64 and half at n = 1000; near n = 2000 the two are
+# close, and beyond it line_cost's hull filter wins.  The budget keeps a
+# block's tracemalloc peak near 2 MiB.
+_BATCH_MAX = 1024
+_BATCH_POINTS = 1 << 14
 _GENERATOR_NAME = "pcg64"
 
 
@@ -322,19 +329,43 @@ def _line_costs(prefix, lo, hi, n=0, t=None, s=None, root_axis=None, suffix=()) 
     stream [*prefix, r, *suffix], r in lo .. hi-1, draw the size (Poisson(t)
     when ``t`` is given, else ``n``), the x's, the y's and a uniform query
     unless ``s`` fixes it; return the quadtree's line costs, or with
-    ``root_axis`` the 2-d tree's."""
+    ``root_axis`` the 2-d tree's.
+
+    Trees of up to ``_BATCH_MAX`` points are counted together, in calls of
+    the level-wise batch kernel of at most ``_BATCH_POINTS`` points (or one
+    larger tree); larger trees go to ``line_cost`` as they are drawn."""
+    if s is not None:
+        quadtree._check_query(s)
+    rule = quadtree._QUAD if root_axis is None else kdtree._rule(root_axis)
     out = np.empty(hi - lo, dtype=np.int64)
+    batch, held = [], 0  # (index, xs, ys, query) of the trees not yet counted
     for i, rng in enumerate(_streams(prefix, lo, hi, suffix)):
         if t is None:
             xs, ys = quadtree.sample_uniform_xy(n, rng)
         else:
             xs, ys = quadtree.sample_poisson_xy(t, rng)
         xi = float(rng.random()) if s is None else s
-        if root_axis is None:
+        if xs.size <= _BATCH_MAX:
+            if held + xs.size > _BATCH_POINTS and batch:
+                _count_batch(batch, rule, out)
+                batch, held = [], 0
+            batch.append((i, xs, ys, xi))
+            held += xs.size
+        elif root_axis is None:
             out[i] = quadtree.line_cost(xs, ys, xi)
         else:
             out[i] = kdtree.line_cost(xs, ys, xi, root_axis)
+    if batch:
+        _count_batch(batch, rule, out)
     return out
+
+
+def _count_batch(batch, rule, out) -> None:
+    """out[i] = the line cost of each (i, xs, ys, query) tree of ``batch``."""
+    idx, xs, ys, qs = zip(*batch)
+    sizes = [a.size for a in xs]
+    out[list(idx)] = quadtree._batch_line_costs(np.concatenate(xs), np.concatenate(ys),
+                                                sizes, qs, rule)
 
 
 def _block_variance_uniform(spec, lo, hi):
@@ -639,8 +670,8 @@ def _validate(spec: ExperimentSpec) -> None:
             raise ValueError(f"sizes must be >= 1, got {n}")
         if n > quadtree._MAX_POINTS:
             raise CapExceededError(f"size {n} exceeds cap {quadtree._MAX_POINTS}")
-    if spec.kind == "coupling" and spec.eps < 0.0:
-        raise ValueError(f"coupling eps must be >= 0, got {spec.eps}")
+    if spec.kind == "coupling":
+        quadtree._check_finite("coupling eps", spec.eps)
     if spec.kind in ("mean-profile", "kd-mean") and len(spec.sizes) != 1:
         raise ValueError(f"{spec.kind} takes exactly one size")
 

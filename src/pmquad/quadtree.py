@@ -7,7 +7,11 @@ crossing the line (the latter two are kept as independently coded oracles).
 ``line_cost`` computes the same count straight from a point sequence without
 materializing nodes, which is what makes desk-scale Monte Carlo cheap.  It
 shares one kernel with ``kdtree.line_cost``; a vectorized block filter lets
-the exact per-point update skip the many points that cannot cross.
+the exact per-point update skip the many points that cannot cross.  Below
+about 2000 points that update's Python loop dominates, so sampled
+replications count their trees of up to ``harness._BATCH_MAX`` points with
+``_batch_line_costs`` instead: many trees per numpy call, level by level,
+keeping only the cells that meet the line.  Both give the same counts.
 
 The whole profile s -> cost comes from every node's cell x-extent.
 ``profile_xy`` (and ``kdtree.profile_xy``) get those extents from one
@@ -24,6 +28,7 @@ the other), and shares no code with the array kernels it checks."""
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -222,10 +227,25 @@ def subtree_sizes(tree: Tree):
     return tuple(sum(1 for _ in Tree(child, None).nodes()) for child in tree.root.children)
 
 
+def _check_finite(name: str, v: float) -> None:
+    """Refuses a negative, NaN or infinite ``v`` as ``name``."""
+    if not 0.0 <= v < math.inf:
+        raise ValueError(f"{name} must be {'>= 0' if v < 0.0 else 'finite'}, got {v}")
+
+
+def _check_budget(t: float) -> None:
+    """Refuses a Poisson budget before any draw: a negative or non-finite one,
+    and one above 2**62, which numpy's Poisson cannot draw (its limit is just
+    below 2**63) and whose trees would be far above ``_MAX_POINTS``."""
+    _check_finite("intensity budget t", t)
+    if t > 2.0**62:
+        raise CapExceededError(f"intensity budget t = {t} exceeds 2**62; trees are capped "
+                               f"at {_MAX_POINTS} points")
+
+
 def sample_poisson_xy(t: float, rng) -> tuple:
     """A Poisson(t) number of uniform points as (xs, ys), in arrival order."""
-    if t < 0.0:
-        raise ValueError(f"intensity budget t must be >= 0, got {t}")
+    _check_budget(t)
     n = int(rng.poisson(t))
     return sample_uniform_xy(n, rng)
 
@@ -328,6 +348,56 @@ def line_cost(xs, ys, s: float, x_lo: float = 0.0, x_hi: float = 1.0) -> int:
     return _slice_cost(xs, ys, s, x_lo, x_hi, _QUAD)
 
 
+def _batch_line_costs(xs, ys, sizes, s, rule: int) -> np.ndarray:
+    """The line costs of many small trees at once: tree j holds the next
+    sizes[j] points of (xs, ys) in arrival order and is queried at s[j].
+
+    Works a level at a time on the crossing cells only, with no x-extents:
+    each cell's pending points are a run in arrival order, starting with the
+    trees.  The first point of a run is a crossing node; under an x-split,
+    the rest stay only on the query's side (x >= node x iff s >= node x, so
+    a line on the split goes right), and under a y-split they go to the
+    bottom or top child by a stable partition, top runs after all bottom
+    ones, as in ``_node_extents``.  A point is visited about 2.5 (quad) to
+    5 (2-d tree) times, each visit an element of a numpy pass over the whole
+    batch, which is cheaper than ``_slice_cost``'s one Python update per
+    point up to about 2000 points per tree.  Inputs are trusted: the
+    unit-square root, s in [0, 1] and general position, where the counts
+    equal ``_slice_cost``'s.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    s = np.asarray(s, dtype=float)
+    x, y = xs, ys
+    cell = np.repeat(np.arange(sizes.size), sizes)
+    tree = np.arange(sizes.size)  # the tree of each cell
+    found = [tree[:0]]  # the tree of each crossing node, a level per array
+    while x.size:
+        head = np.empty(x.size, dtype=bool)
+        head[0] = True
+        np.not_equal(cell[1:], cell[:-1], out=head[1:])
+        run = np.cumsum(head, dtype=np.intp)
+        run -= 1
+        at = head.nonzero()[0]
+        tree = tree[cell[at]]
+        found.append(tree)
+        if rule != _KD_H:
+            hx = x[at]
+            keep = (x >= hx[run]) == (s[tree] >= hx)[run]
+            keep[at] = False
+        else:
+            keep = ~head
+        if rule != _KD_V:
+            top = y >= y[at][run]
+            order = np.concatenate(((keep & ~top).nonzero()[0], (keep & top).nonzero()[0]))
+            cell = (run + at.size * top)[order]
+            tree = np.concatenate((tree, tree))
+        else:
+            order = keep.nonzero()[0]
+            cell = run[order]
+        x, y, rule = x[order], y[order], _AFTER[rule]
+    return np.bincount(np.concatenate(found), minlength=sizes.size)
+
+
 def _node_extents(xs, ys, rule: int) -> tuple:
     """(x0, x1, pos, counts) of the tree the points (xs, ys) build in arrival
     order from the unit-square root under ``rule``: ``pos`` is 0.0, the sorted
@@ -391,10 +461,9 @@ def sample_extension_xy(t: float, eps: float, rng) -> tuple:
 
     The count is Poisson(t (1 + eps)); arrival order is the generation order.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if t < 0.0:
-        raise ValueError(f"intensity budget t must be >= 0, got {t}")
+    _check_finite("eps", eps)
+    _check_finite("intensity budget t", t)
+    _check_budget(t * (1.0 + eps))
     xs, ys = sample_uniform_xy(int(rng.poisson(t * (1.0 + eps))), rng)
     return xs * (1.0 + eps) - eps, ys
 
@@ -407,8 +476,7 @@ def coupled_extension_cost(xs, ys, eps: float, s: float):
     arrival order.  Both counts are horizontal-line crossings of x = s, and
     the base count never exceeds the extended one pathwise.
     """
-    if eps < 0.0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    _check_finite("eps", eps)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     extended = line_cost(xs, ys, s, x_lo=-eps)

@@ -539,3 +539,47 @@ def test_negative_operator_grid_exits_2(capsys):
 def test_negative_path_grid_exits_2(capsys):
     code, out, err = run_cli(["simulate-limit", "--depth", "2", "--grid", "-1"], capsys)
     assert (code, out, err) == (2, "", "invalid arguments: grid size must be >= 0, got -1\n")
+
+
+class TestNonFiniteBudgetsAndEps:
+    """A Poisson budget or coupling eps that numpy's Poisson would refuse gets
+    pmquad's own one-line message, before any replication runs."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["experiment", "--kind", "coupling", "--eps", "nan"], 2,
+             "invalid arguments: coupling eps must be finite, got nan"),
+            (["experiment", "--kind", "coupling", "--eps", "inf"], 2,
+             "invalid arguments: coupling eps must be finite, got inf"),
+            (["experiment", "--kind", "poisson-mean", "--t", "nan"], 2,
+             "invalid arguments: intensity budget t must be finite, got nan"),
+            (["experiment", "--kind", "poisson-mean", "--t", "inf"], 2,
+             "invalid arguments: intensity budget t must be finite, got inf"),
+            (["simulate-cost", "--poisson", "nan"], 2,
+             "invalid arguments: intensity budget t must be finite, got nan"),
+            (["--threads", "2", "simulate-cost", "--poisson", "inf", "--replications", "600"], 2,
+             "invalid arguments: intensity budget t must be finite, got inf"),
+            (["simulate-cost", "--poisson", "1e300"], 3,
+             "cap exceeded: intensity budget t = 1e+300 exceeds 2**62; trees are capped "
+             "at 16777216 points"),
+            (["experiment", "--kind", "coupling", "--t", "10", "--eps", "1e300"], 3,
+             "cap exceeded: intensity budget t = 1e+301 exceeds 2**62; trees are capped "
+             "at 16777216 points"),
+        ],
+        ids=["coupling-eps-nan", "coupling-eps-inf", "poisson-t-nan", "poisson-t-inf",
+             "simulate-cost-nan", "simulate-cost-inf-pooled", "simulate-cost-1e300",
+             "coupling-eps-1e300"],
+    )
+    def test_one_line_without_numpy_message(self, argv, code, err):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmquad.cli", *argv], capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err + "\n")
+        assert "lam" not in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_simulate_cost_budget_checked_before_any_block(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_blocks", lambda *a: pytest.fail("a block ran"))
+        code, out, err = run_cli(["simulate-cost", "--poisson", "nan"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "invalid arguments: intensity budget t must be finite, got nan\n"
