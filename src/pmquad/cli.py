@@ -259,7 +259,7 @@ def _block_simulate_limit(args, lo, hi):
 
 
 def _cmd_simulate_limit(args) -> tuple:
-    limitproc._check_positions(args.s)  # path mode does not read --s, but it is refused too
+    quadtree._check_query(args.s)  # path mode does not read --s, but it is refused too
     if args.replications is not None:
         return _replicated(_block_simulate_limit, args, ["replication", "value"],
                            {"seed": args.seed, "depth": args.depth}), []

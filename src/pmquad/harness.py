@@ -662,7 +662,7 @@ def _meta(spec: ExperimentSpec, **extra) -> dict:
 def _validate(spec: ExperimentSpec) -> None:
     if spec.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
-    limitproc._check_positions((spec.s, *spec.s_grid))
+    quadtree._check_query((spec.s, *spec.s_grid))
     if spec.kind == "limit-moments" and spec.depth > limitproc._MAX_POINTWISE_DEPTH:
         raise CapExceededError(f"depth {spec.depth} exceeds cap {limitproc._MAX_POINTWISE_DEPTH}")
     for n in spec.sizes:

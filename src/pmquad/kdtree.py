@@ -96,11 +96,11 @@ def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:
 
     The quadtree's crossing-slice kernel under the 2-d tree rule: a vertical
     split narrows the slice's x-extent, a horizontal split divides it in y.
-    Coordinates are checked, and points screened in blocks, as in
-    ``quadtree.line_cost``.
+    Coordinates are checked, the root cell taken, and points screened in
+    blocks after the first ``HEAD``, as in ``quadtree.line_cost``.
     """
     _check_query(s)
-    return _slice_cost(xs, ys, s, 0.0, 1.0, _rule(root_axis))
+    return _slice_cost(xs, ys, s, _rule(root_axis))
 
 
 def profile_xy(xs, ys, root_axis: str = VERTICAL) -> StepProfile:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceededError
-from .quadtree import _QUAD, Tree, _node_extents
+from .quadtree import _QUAD, Tree, _check_query, _node_extents
 from .specfun import beta_exponent
 
 __all__ = [
@@ -112,8 +112,7 @@ def g_apply(x: float, y: float, f1, f2, f3, f4, s: float) -> float:
     """
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise ValueError("labels must lie in the open unit interval")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"query position must lie in [0, 1], got {s!r}")
+    _check_query(s)
     b = beta_exponent()
     if s < x:
         u = s / x
@@ -246,17 +245,8 @@ def _box_sums(log_area, u) -> np.ndarray:
     return _pairwise_fold(terms.reshape(m, -1))
 
 
-def _check_positions(s) -> np.ndarray:
-    """``s`` as a float array, if every query position lies in [0, 1]."""
-    s = np.asarray(s, dtype=float)
-    bad = ~((s >= 0.0) & (s <= 1.0))
-    if bad.any():
-        raise ValueError(f"query position must lie in [0, 1], got {float(s[bad][0])!r}")
-    return s
-
-
-def _check_query(n: int, s) -> np.ndarray:
-    s = _check_positions(s)
+def _check_depth_query(n: int, s) -> np.ndarray:
+    s = _check_query(s)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     if n > _MAX_POINTWISE_DEPTH:
@@ -285,7 +275,7 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
     their halves order, so the order of the work changes no bit of the
     result.
     """
-    s = np.broadcast_to(_check_query(n, s), seeds.shape)
+    s = np.broadcast_to(_check_depth_query(n, s), seeds.shape)
     log_budget = _BOX_BUDGET.bit_length() - 1
     if n > log_budget:  # one row at a time, split where a subtree fills the budget
         top, chunk = n - log_budget, 1
@@ -323,7 +313,7 @@ def crossing_boxes(n: int, s: float, seed: int, two_d: bool = False):
     exactly 2^n boxes, areas multiplicative along each branch, and
     sum(areas^beta * h(u)) reproduces the simulated value.
     """
-    s = _check_query(n, s)
+    s = _check_depth_query(n, s)
     seeds = np.array([seed & _M64], dtype=np.uint64)
     log_area, u = _leaves(*_roots(s, seeds), n, two_d)
     u = np.broadcast_to(u, log_area.shape)
@@ -385,17 +375,17 @@ def _diagnostics(n: int, seeds: np.ndarray):
         seed = seeds[lo:lo + rows].reshape(-1, 1)
         m = seed.shape[0]
         state, seed_off = seed + np.uint64(_GOLDEN3), seed * np.uint64(_M64 - 2)
-        x_lo = np.zeros((m, 1))
+        left = np.zeros((m, 1))  # the boxes' left edges
         width = np.ones((m, 1))
         bounds = np.empty((m, 2 + (4**n - 1) // 3))
         bounds[:, :2] = (0.0, 1.0)
         for level in range(n):
             if level:  # the children in digit-major order: block j holds digit j
                 state = ((4 * state + seed_off)[:, None] + digits).reshape(m, -1)
-                x_lo = np.concatenate((x_lo, x_lo, split, split), axis=1)
+                left = np.concatenate((left, left, split, split), axis=1)
                 width = np.concatenate((w_left, w_left, w_right, w_right), axis=1)
             w_left = width * _label_uniforms(state, 0)
-            split = x_lo + w_left
+            split = left + w_left
             w_right = width - w_left
             first = 2 + (4**level - 1) // 3
             bounds[:, first:first + 4**level] = split

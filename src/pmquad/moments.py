@@ -196,8 +196,8 @@ class _KGeometry(NamedTuple):
     us: np.ndarray  # all breakpoints, row after row
     du: np.ndarray  # per segment: breakpoint spacing,
     sig: np.ndarray  # sigma,
-    d1: np.ndarray  # x_hi^(2b+1) - x_lo^(2b+1)
-    d0: np.ndarray  # and x_hi^(2b) - x_lo^(2b)
+    d1: np.ndarray  # x^(2b+1) at the upper x minus at the lower x
+    d0: np.ndarray  # and the same for x^(2b)
 
 
 @functools.lru_cache(maxsize=16)

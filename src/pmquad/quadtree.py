@@ -11,7 +11,8 @@ the exact per-point update skip the many points that cannot cross.  Below
 about 2000 points that update's Python loop dominates, so sampled
 replications count their trees of up to ``harness._BATCH_MAX`` points with
 ``_batch_line_costs`` instead: many trees per numpy call, level by level,
-keeping only the cells that meet the line.  Both give the same counts.
+keeping only the cells that meet the line.  Both give the same counts and
+take no root box, as the count depends only on the points and their order.
 
 The whole profile s -> cost comes from every node's cell x-extent.
 ``profile_xy`` (and ``kdtree.profile_xy``) get those extents from one
@@ -165,9 +166,14 @@ def sample_uniform_points(n: int, rng):
     return _points(*sample_uniform_xy(n, rng))
 
 
-def _check_query(s: float) -> None:
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"query position must lie in [0, 1], got {s!r}")
+def _check_query(s) -> np.ndarray:
+    """``s``, one query position or an array of them, as a float array, if
+    every position lies in [0, 1]."""
+    s = np.asarray(s, dtype=float)
+    ok = (s >= 0.0) & (s <= 1.0)
+    if not ok.all():
+        raise ValueError(f"query position must lie in [0, 1], got {float(s[~ok][0])!r}")
+    return s
 
 
 def _search(node, s: float) -> int:
@@ -254,8 +260,7 @@ def sample_poisson_xy(t: float, rng) -> tuple:
 # slice's x-extent and splits it in y; a 2-d tree does one, then the other.
 _QUAD, _KD_V, _KD_H = 0, 1, 2
 _AFTER = (_QUAD, _KD_H, _KD_V)  # a slice's rule once it has been crossed
-SEQ = 256  # a tree of up to SEQ points is updated one point at a time
-HEAD = 128  # on larger trees, points updated one by one before the blocks
+HEAD = 128  # points updated one by one before the blocks
 
 
 def _coords(xs, ys) -> tuple:
@@ -274,34 +279,35 @@ def _cell_edges(g: int) -> np.ndarray:
     return edges
 
 
-def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
+def _slice_cost(xs, ys, s: float, rule: int) -> int:
     """Crossings of x = s by the tree on the points (xs, ys) in arrival order.
 
     Keeps the leaf cells crossing the line as slices that tile [0, 1] in y,
     each with its x-extent and next split rule; a point inside a slice is a
-    crossing node and splits it.  Up to ``SEQ`` points every point gets that
-    exact update.  On more, slices only shrink as points arrive, so after
-    the first ``HEAD`` points each block [m, 4m) is first tested in one pass
-    against a hull of the slices as they stood at m, rebuilt once per block
-    from one array of the slices.  That test passes every crossing, and only
-    the points that pass get the exact update.
+    crossing node and splits it.  The root slice is (-inf, 1.0], closed at
+    1.0 so that a point there still counts.  The first ``HEAD`` points each
+    get that exact update.  After them slices only shrink as points arrive,
+    so each block [m, 4m) is first tested in one pass against a hull of the
+    slices as they stood at m, rebuilt once per block from one array of the
+    slices.  That test passes every crossing, and only the points that pass
+    get the exact update.
     """
     xs, ys = _coords(xs, ys)
     n = xs.size
-    if n > SEQ and not (0.0 <= ys.min() and ys.max() <= 1.0):
+    if n > HEAD and not (0.0 <= ys.min() and ys.max() <= 1.0):
         raise ValueError("y-coordinates must lie in [0, 1]")
     yb = [0.0]  # slice i spans [yb[i], yb[i+1]) in y, the last one up to 1
-    lo = [x_lo]
-    hi = [x_hi]
+    lo = [-math.inf]
+    hi = [1.0]
     rules = [rule]
     count = 0
-    stop = n if n <= SEQ else HEAD
+    stop = min(n, HEAD)
     px, py = xs[:stop].tolist(), ys[:stop].tolist()
     while True:
         for x, y in zip(px, py):
             i = bisect_right(yb, y) - 1
             b = hi[i]
-            if lo[i] <= x and (x < b or x == b == x_hi == 1.0):
+            if lo[i] <= x and (x < b or x == b == 1.0):
                 count += 1
                 r = rules[i]
                 nxt = rules[i] = _AFTER[r]
@@ -321,7 +327,7 @@ def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
         bx, by = xs[start:stop], ys[start:stop]
         # The hull: g cells of [0, 1] (g a power of two, so y is in cell
         # floor(y g) exactly), each with the closed x-hull of the slices
-        # first[j] .. first[j + 1] meeting it; x == hi == x_hi == 1.0 passes.
+        # first[j] .. first[j + 1] meeting it; x == hi == 1.0 passes.
         g = 2 << len(yb).bit_length()
         yb_a, lo_a, hi_a = np.array((yb, lo, hi), dtype=float)
         first = yb_a.searchsorted(_cell_edges(g), side="right") - 1
@@ -332,20 +338,18 @@ def _slice_cost(xs, ys, s: float, x_lo: float, x_hi: float, rule: int) -> int:
         px, py = bx[keep].tolist(), by[keep].tolist()
 
 
-def line_cost(xs, ys, s: float, x_lo: float = 0.0, x_hi: float = 1.0) -> int:
+def line_cost(xs, ys, s: float) -> int:
     """cost(build(points), s) computed without building nodes.
 
-    The root box is [x_lo, x_hi] x [0, 1], so the same routine also serves
-    the extended-box coupling.  Coordinates must be 1-d and of equal length;
-    beyond ``SEQ`` points, y-coordinates outside [0, 1] raise ValueError.
-    Up to ``SEQ`` points the count is one exact update per point; beyond,
-    blocks [m, 4m) after the first ``HEAD`` points are screened by a hull
-    first (see ``_slice_cost``), with the same count.
+    Coordinates must be 1-d and of equal length; beyond ``HEAD`` points,
+    y-coordinates outside [0, 1] raise ValueError.  x's below 0 are inside
+    the root cell, so the same count serves the extended-box coupling.  The
+    first ``HEAD`` points get one exact update each; blocks [m, 4m) after
+    them are screened by a hull first (see ``_slice_cost``), with the same
+    count.
     """
     _check_query(s)
-    if not x_lo <= s <= x_hi:
-        raise ValueError("query line must lie inside the root box")
-    return _slice_cost(xs, ys, s, x_lo, x_hi, _QUAD)
+    return _slice_cost(xs, ys, s, _QUAD)
 
 
 def _batch_line_costs(xs, ys, sizes, s, rule: int) -> np.ndarray:
@@ -361,9 +365,9 @@ def _batch_line_costs(xs, ys, sizes, s, rule: int) -> np.ndarray:
     ones, as in ``_node_extents``.  A point is visited about 2.5 (quad) to
     5 (2-d tree) times, each visit an element of a numpy pass over the whole
     batch, which is cheaper than ``_slice_cost``'s one Python update per
-    point up to about 2000 points per tree.  Inputs are trusted: the
-    unit-square root, s in [0, 1] and general position, where the counts
-    equal ``_slice_cost``'s.
+    point up to about 2000 points per tree.  Inputs are trusted: x's at
+    most 1, y's in [0, 1], s in [0, 1] and general position, where the
+    counts equal ``_slice_cost``'s; like it, this needs no root box.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     s = np.asarray(s, dtype=float)
@@ -471,15 +475,16 @@ def sample_extension_xy(t: float, eps: float, rng) -> tuple:
 def coupled_extension_cost(xs, ys, eps: float, s: float):
     """(base cost, extended cost) at x = s from one shared point sample.
 
-    The extended tree is built on the box [-eps, 1] x [0, 1] from all points;
-    the base tree on the unit square from the points with x >= 0, in the same
-    arrival order.  Both counts are horizontal-line crossings of x = s, and
-    the base count never exceeds the extended one pathwise.
+    The extended tree, on the box [-eps, 1] x [0, 1], holds all points; the
+    base tree, on the unit square, the points with x >= 0, in the same
+    arrival order.  ``line_cost`` counts both: its root cell is open to the
+    left, and the cost depends only on the points.  Both counts are
+    horizontal-line crossings of x = s, and the base count never exceeds the
+    extended one pathwise.
     """
     _check_finite("eps", eps)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    extended = line_cost(xs, ys, s, x_lo=-eps)
+    xs, ys = _coords(xs, ys)
+    extended = line_cost(xs, ys, s)
     keep = xs >= 0.0
     base = line_cost(xs[keep], ys[keep], s)
     return base, extended

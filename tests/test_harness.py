@@ -191,7 +191,7 @@ class TestRunBlocks:
 
     def test_real_pool_matches_serial_bytes(self, monkeypatch):
         # two usable CPUs whatever the host shows, so threads=2 forks a real
-        # 2-worker pool; sizes past quadtree.SEQ run the block filter in it
+        # 2-worker pool; both sizes run the batched kernel in it
         made = []
 
         class CountingPool(concurrent.futures.ProcessPoolExecutor):

@@ -28,7 +28,8 @@ def test_public_helpers_exported(module, attr):
 
 # The object trees are the oracle the array kernels are tested against, so
 # they must not reach the kernels' rule encoding or the kernels themselves.
-KERNEL_NAMES = {"_slice_cost", "_cell_edges", "_node_extents", "_profile_xy", "_AFTER", "_QUAD", "_KD_V", "_KD_H"}
+KERNEL_NAMES = {"_slice_cost", "_batch_line_costs", "_cell_edges", "_node_extents", "_profile_xy",
+                "_AFTER", "_QUAD", "_KD_V", "_KD_H", "HEAD"}
 
 
 def _names(code):

@@ -351,10 +351,6 @@ class TestLineCost:
         s = float(np.random.default_rng(seed + 1).random())
         assert line_cost(xs, ys, s) == cost(t, s) == horizontal_crossings(t, s)
 
-    def test_query_outside_root_box(self):
-        with pytest.raises(ValueError):
-            line_cost(np.array([]), np.array([]), 0.5, x_lo=0.6)
-
 
 class TestCoupling:
     def test_zero_extension_is_identity(self):

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmquad import kdtree, quadtree
-from pmquad.quadtree import _KD_H, _KD_V, _QUAD, HEAD, SEQ, _slice_cost
+from pmquad import kdtree, limitproc, quadtree
+from pmquad.quadtree import _KD_H, _KD_V, _QUAD, HEAD, _slice_cost
+
+SEQ = 256  # the whole-tree cut-off the kernel once had; its sizes stay covered
 
 
 def reference_quad(xs, ys, s, x_lo=0.0, x_hi=1.0):
@@ -108,8 +110,8 @@ class TestSliceCostMatchesSequentialLoops:
         expect = reference_quad(xs, ys, s, x_lo)
         if as_list:
             xs, ys = xs.tolist(), ys.tolist()
-        assert _slice_cost(xs, ys, s, x_lo, 1.0, _QUAD) == expect
-        assert quadtree.line_cost(xs, ys, s, x_lo=x_lo) == expect
+        assert _slice_cost(xs, ys, s, _QUAD) == expect
+        assert quadtree.line_cost(xs, ys, s) == expect
 
     @given(instances(), st.sampled_from(("v", "h")), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -120,7 +122,7 @@ class TestSliceCostMatchesSequentialLoops:
         if as_list:
             xs, ys = xs.tolist(), ys.tolist()
         rule = _KD_V if axis == "v" else _KD_H
-        assert _slice_cost(xs, ys, s, 0.0, 1.0, rule) == expect
+        assert _slice_cost(xs, ys, s, rule) == expect
         assert kdtree.line_cost(xs, ys, s, axis) == expect
 
     @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -129,9 +131,9 @@ class TestSliceCostMatchesSequentialLoops:
         xs, ys = rng.random(n), rng.random(n)
         xs[::7] = 1.0
         for s in (0.0, 0.3, 1.0):
-            assert _slice_cost(xs, ys, s, 0.0, 1.0, _QUAD) == reference_quad(xs, ys, s)
-            assert _slice_cost(xs, ys, s, 0.0, 1.0, _KD_V) == reference_kd(xs, ys, s, "v")
-            assert _slice_cost(xs, ys, s, 0.0, 1.0, _KD_H) == reference_kd(xs, ys, s, "h")
+            assert _slice_cost(xs, ys, s, _QUAD) == reference_quad(xs, ys, s)
+            assert _slice_cost(xs, ys, s, _KD_V) == reference_kd(xs, ys, s, "v")
+            assert _slice_cost(xs, ys, s, _KD_H) == reference_kd(xs, ys, s, "h")
 
     @pytest.mark.parametrize("x_lo", [0.0, -0.25])
     @pytest.mark.parametrize("n", BLOCK_SIZES)
@@ -144,9 +146,25 @@ class TestSliceCostMatchesSequentialLoops:
         xs[::5] = 1.0
         kx = np.maximum(xs, 0.0)
         for s in (0.0, 0.25, 0.5, 1.0):
-            assert _slice_cost(xs, ys, s, x_lo, 1.0, _QUAD) == reference_quad(xs, ys, s, x_lo)
-            assert _slice_cost(kx, ys, s, 0.0, 1.0, _KD_V) == reference_kd(kx, ys, s, "v")
-            assert _slice_cost(kx, ys, s, 0.0, 1.0, _KD_H) == reference_kd(kx, ys, s, "h")
+            assert _slice_cost(xs, ys, s, _QUAD) == reference_quad(xs, ys, s, x_lo)
+            assert _slice_cost(kx, ys, s, _KD_V) == reference_kd(kx, ys, s, "v")
+            assert _slice_cost(kx, ys, s, _KD_H) == reference_kd(kx, ys, s, "h")
+
+    @pytest.mark.parametrize("eps", [0.05, 0.5])
+    @pytest.mark.parametrize("t", [60.0, 200.0, 700.0, 2500.0])
+    def test_coupled_extension_cost(self, t, eps):
+        # the extended tree is counted with no root box; the reference loop
+        # takes its box [-eps, 1], and the base tree's [0, 1]
+        for r in range(5):
+            rng = np.random.default_rng([2013, r])
+            xs, ys = quadtree.sample_extension_xy(t, eps, rng)
+            xs[::11] = -eps
+            xs[5::11] = 1.0
+            keep = xs >= 0.0
+            for s in (0.0, float(rng.random()), 1.0):
+                base, ext = quadtree.coupled_extension_cost(xs, ys, eps, s)
+                assert ext == reference_quad(xs, ys, s, -eps)
+                assert base == reference_quad(xs[keep], ys[keep], s, 0.0)
 
 
 class TestCoordinateValidation:
@@ -173,3 +191,14 @@ class TestCoordinateValidation:
             with pytest.raises(ValueError):
                 quadtree.line_cost(xs, ys_bad, 0.5)
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: quadtree.line_cost([0.2], [0.3], s),
+    lambda s: kdtree.line_cost([0.2], [0.3], s, "h"),
+    lambda s: quadtree.cost(quadtree.build([]), s),
+    lambda s: limitproc.simulate_many(2, s, 0, 1),
+], ids=["line_cost", "kd_line_cost", "cost", "simulate_many"])
+def test_query_message_prints_numpy_scalars_as_floats(call):
+    with pytest.raises(ValueError, match=r"^query position must lie in \[0, 1\], got 1\.5$"):
+        call(np.float64(1.5))
