@@ -245,7 +245,7 @@ def _box_sums(log_area, u) -> np.ndarray:
     return _pairwise_fold(terms.reshape(m, -1))
 
 
-def _check_depth_query(n: int, s) -> np.ndarray:
+def _check_depth_query(n: int, s) -> float | np.ndarray:
     s = _check_query(s)
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")

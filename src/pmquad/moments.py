@@ -43,7 +43,8 @@ _MIN_GRID = 64
 _MAX_ITER = 30
 _K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
 # Grid points apply_K accepts: a row has up to G <= _K_BLOCK breakpoints; work
-# grows as G^2 (10-12 s and < 100 MiB RSS per call at the cap, 2-vCPU Xeon).
+# grows as G^2 (11-13 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon; the
+# 16 cached geometry blocks hold at most 16 * 20 B * _K_BLOCK, about 21 MB).
 _MAX_GRID = 1 << 14
 
 
@@ -186,17 +187,22 @@ def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
 
 
 class _KGeometry(NamedTuple):
-    """Breakpoint data of one block of apply_K rows (see _k_geometry)."""
+    """Breakpoint data of one block of apply_K rows (see _k_geometry).
+
+    Per breakpoint it keeps only what is costly to rebuild: the grid index
+    and the two power differences, which each take a ``pow`` pass (20 B in
+    all).  The breakpoints, their spacing and the segment sigmas are one
+    gather, ``diff`` or ``repeat`` each, and _edge_integrals rebuilds them.
+    """
 
     low: np.ndarray  # rows with sigma <= 0
     inner: np.ndarray  # rows with 0 < sigma < 1, in order
+    sigma: np.ndarray  # their sigmas
+    counts: np.ndarray  # their breakpoint counts
     heads: np.ndarray  # where each starts among the breakpoints: at sigma
     rows: list  # slice of each inner row's segments
-    col: np.ndarray  # grid index of every breakpoint but the heads
-    us: np.ndarray  # all breakpoints, row after row
-    du: np.ndarray  # per segment: breakpoint spacing,
-    sig: np.ndarray  # sigma,
-    d1: np.ndarray  # x^(2b+1) at the upper x minus at the lower x
+    col: np.ndarray  # int32 grid index of every breakpoint (a head's is overwritten)
+    d1: np.ndarray  # per segment: x^(2b+1) at the upper x minus at the lower x
     d0: np.ndarray  # and the same for x^(2b)
 
 
@@ -213,6 +219,9 @@ def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
     are concatenated, and the powers of x = sigma/u are taken once per
     breakpoint, since each segment's lower x is the next one's upper x.  The
     pairs that straddle two rows are computed too but summed into neither.
+    _edge_integrals rebuilds the breakpoints with the same _breakpoints
+    call and the segment sigmas with the same ``repeat``, so every segment
+    term has the bits it would have if they were cached.
     """
     b = beta_exponent()
     grid = np.frombuffer(grid_bytes)
@@ -222,17 +231,17 @@ def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
     counts = grid.size - first + 1
     ends = np.cumsum(counts)
     heads = ends - counts
-    col = np.arange(counts.sum()) + np.repeat(first - 1 - heads, counts)
-    us = grid[col]
-    us[heads] = sigma[inner]
-    sig = np.repeat(sigma[inner], counts)
-    x = sig / us
+    # int32 halves col; np.take gathers with it as fast as with intp (indexing does not)
+    col = (np.arange(counts.sum()) + np.repeat(first - 1 - heads, counts)).astype(np.int32)
+    us = _breakpoints(grid, col, heads, sigma[inner])
+    x = np.repeat(sigma[inner], counts)
+    x /= us
     p1 = x ** (2.0 * b + 1.0)
     p0 = x ** (2.0 * b)
     geometry = _KGeometry(
-        low=np.flatnonzero(sigma <= 0.0), inner=inner, heads=heads,
-        rows=[slice(a, e - 1) for a, e in zip(heads.tolist(), ends.tolist())], col=col,
-        us=us, du=us[1:] - us[:-1], sig=sig[:-1], d1=p1[:-1] - p1[1:], d0=p0[:-1] - p0[1:],
+        low=np.flatnonzero(sigma <= 0.0), inner=inner, sigma=sigma[inner], counts=counts,
+        heads=heads, rows=[slice(a, e - 1) for a, e in zip(heads.tolist(), ends.tolist())],
+        col=col, d1=p1[:-1] - p1[1:], d0=p0[:-1] - p0[1:],
     )
     for v in geometry:
         if isinstance(v, np.ndarray):
@@ -240,17 +249,31 @@ def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
     return geometry
 
 
+def _breakpoints(grid, col, heads, sigma) -> np.ndarray:
+    """All u-breakpoints of a block, row after row: each row's sigma, then
+    the grid points above it."""
+    us = np.take(grid, col)
+    us[heads] = sigma
+    return us
+
+
 def _edge_integrals(geo: _KGeometry, n_rows: int, grid, vals, b: float) -> np.ndarray:
     """The edge integrals of one block of rows, for the piecewise-linear f
     with these grid values; each row's terms are summed in the row's order."""
-    fv = vals[geo.col]  # interpolation at a grid point returns its value
-    fv[geo.heads] = np.interp(geo.us[geo.heads], grid, vals)
+    us = _breakpoints(grid, geo.col, geo.heads, geo.sigma)
+    fv = np.take(vals, geo.col)  # interpolation at a grid point returns its value
+    fv[geo.heads] = np.interp(geo.sigma, grid, vals)
     fa, fb = fv[:-1], fv[1:]
-    slope = (fb - fa) / geo.du
-    a0 = fa - slope * geo.us[:-1]
-    seg = a0 * geo.d1
+    # in place where the cached form made temporaries, so rebuilding u costs no time
+    slope = fb - fa
+    seg = us[1:] - us[:-1]
+    slope /= seg
+    np.multiply(slope, us[:-1], out=seg)
+    np.subtract(fa, seg, out=seg)  # a0
+    seg *= geo.d1
     seg /= 2.0 * b + 1.0
-    t = slope * geo.sig
+    t = np.repeat(geo.sigma, geo.counts)[:-1]
+    t *= slope
     t *= geo.d0
     t /= 2.0 * b
     seg += t

@@ -166,14 +166,21 @@ def sample_uniform_points(n: int, rng):
     return _points(*sample_uniform_xy(n, rng))
 
 
-def _check_query(s) -> np.ndarray:
-    """``s``, one query position or an array of them, as a float array, if
-    every position lies in [0, 1]."""
-    s = np.asarray(s, dtype=float)
-    ok = (s >= 0.0) & (s <= 1.0)
-    if not ok.all():
-        raise ValueError(f"query position must lie in [0, 1], got {float(s[~ok][0])!r}")
-    return s
+def _check_query(s) -> float | np.ndarray:
+    """``s``, one query position or an array of them, if every position lies
+    in [0, 1]: a float (``np.float64`` included) as it is, anything else as a
+    float array."""
+    if isinstance(s, float):  # the common scalar call, without an array
+        if 0.0 <= s <= 1.0:
+            return s
+        bad = s
+    else:
+        s = np.asarray(s, dtype=float)
+        ok = (s >= 0.0) & (s <= 1.0)
+        if ok.all():
+            return s
+        bad = s[~ok][0]
+    raise ValueError(f"query position must lie in [0, 1], got {float(bad)!r}")
 
 
 def _search(node, s: float) -> int:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,3 +302,42 @@ class TestGridCap:
         expect = apply_K(GridFunction(g, _h2(g))).values
         monkeypatch.setattr(moments, "_MAX_GRID", 130)
         assert np.array_equal(apply_K(GridFunction(g, _h2(g))).values, expect)
+
+
+class TestGeometryFootprint:
+    """apply_K's geometry cache keeps per breakpoint only the grid index and
+    the two power differences; the rest is rebuilt on each call."""
+
+    @staticmethod
+    def _grid():
+        return make_grid(512, extra=(0.4,))
+
+    def test_cached_bytes_per_breakpoint(self):
+        from pmquad import moments
+
+        g = self._grid()
+        n = g.size
+        step = max(1, moments._K_BLOCK // n)
+        blocks = [moments._k_geometry(g.tobytes(), lo, min(lo + step, 2 * n))
+                  for lo in range(0, 2 * n, step)]
+        assert len(blocks) == 9
+        # every row with 0 < sigma < 1 has sigma and the grid points above it
+        sigma = np.concatenate((g, 1.0 - g))
+        inner = sigma[(sigma > 0.0) & (sigma < 1.0)]
+        breakpoints = int(np.sum(1 + (g > inner[:, None]).sum(axis=1)))
+        assert breakpoints == sum(geo.col.size for geo in blocks)
+        data = sum(v.nbytes for geo in blocks for v in geo if isinstance(v, np.ndarray))
+        assert data <= 24 * breakpoints
+
+    def test_fourteenth_iterate_peak(self):
+        from pmquad import moments
+
+        moments._k_geometry.cache_clear()  # the blocks are built inside the trace
+        tracemalloc.start()
+        try:
+            second_moment_iterates(14, self._grid())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert moments._k_geometry.cache_info().currsize == 9
+        assert peak < 10 * 2**20

@@ -202,3 +202,42 @@ class TestCoordinateValidation:
 def test_query_message_prints_numpy_scalars_as_floats(call):
     with pytest.raises(ValueError, match=r"^query position must lie in \[0, 1\], got 1\.5$"):
         call(np.float64(1.5))
+
+
+# (value, message) pairs as the array-only check printed them
+REFUSED_QUERIES = [
+    (1.5, "got 1.5"),
+    (np.float64(1.5), "got 1.5"),
+    (float("nan"), "got nan"),
+    (np.float64("nan"), "got nan"),
+    (-1e-300, "got -1e-300"),
+    (float("inf"), "got inf"),
+]
+ACCEPTED_QUERIES = [0.0, -0.0, 1.0, 0.5, np.float64(0.25), np.float64(-0.0)]
+
+
+@pytest.mark.parametrize("s, message", REFUSED_QUERIES, ids=repr)
+def test_scalar_query_check_refuses_like_the_array_form(s, message):
+    expect = rf"^query position must lie in \[0, 1\], {message}$"
+    for value in (s, np.array(s), [0.5, s]):
+        with pytest.raises(ValueError, match=expect):
+            quadtree._check_query(value)
+    with pytest.raises(ValueError, match=expect):
+        quadtree.line_cost([0.2], [0.3], s)
+    with pytest.raises(ValueError, match=expect):
+        kdtree.line_cost([0.2], [0.3], s, "v")
+
+
+@pytest.mark.parametrize("s", ACCEPTED_QUERIES, ids=repr)
+def test_scalar_query_check_accepts_like_the_array_form(s):
+    got = quadtree._check_query(s)
+    assert got == np.asarray(s, dtype=float)
+    assert np.signbit(got) == np.signbit(s)
+    # the depth check's result still broadcasts and roots a batch
+    assert np.broadcast_to(limitproc._check_depth_query(3, s), (4,)).tolist() == [float(s)] * 4
+    assert limitproc.simulate_many(3, s, 7, 4).tolist() == limitproc.simulate_many(
+        3, np.array(s), 7, 4).tolist()
+    areas, _ = limitproc.crossing_boxes(3, s, 7)
+    assert areas.tolist() == limitproc.crossing_boxes(3, np.array(s), 7)[0].tolist()
+    xs, ys = np.random.default_rng(3).random((2, 300))
+    assert quadtree.line_cost(xs, ys, s) == quadtree.line_cost(xs, ys, np.array(s))
