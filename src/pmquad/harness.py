@@ -39,11 +39,13 @@ __all__ = [
 ]
 
 _BLOCK = 256  # fixed scheduling unit; never derived from the worker count
-# Trees of up to _BATCH_MAX points are counted by quadtree._batch_line_costs
-# in calls of at most _BATCH_POINTS points: per tree that takes a fifth of
-# line_cost's time at n = 64 and half at n = 1000; near n = 2000 the two are
-# close, and beyond it line_cost's hull filter wins.  The budget keeps a
-# block's tracemalloc peak near 2 MiB.
+# Sampled trees are counted by quadtree._batch_line_costs in calls of at most
+# _BATCH_POINTS points (see _Batch).  A tree of up to _BATCH_MAX points goes
+# in whole: per tree that takes a fifth of line_cost's time at n = 64 and
+# half at n = 1000, while near n = 2000 the two are close.  A larger tree goes
+# in as the survivors of quadtree._screen, about a tenth of its points: at
+# n = 2000 to 8000 that takes about 0.6 of line_cost's time per quadtree and
+# 0.8 per 2-d tree.  The budget keeps a block's tracemalloc peak near 2 MiB.
 _BATCH_MAX = 1024
 _BATCH_POINTS = 1 << 14
 _GENERATOR_NAME = "pcg64"
@@ -287,13 +289,17 @@ def _sizes(spec: ExperimentSpec) -> tuple:
 
 
 def _block_mean_profile(spec, lo, hi):
-    grid = spec.s_grid or (0.5,)
+    """C_n(s) at each grid position s: the profile's values there, counted
+    as one line cost per (tree, s)."""
+    grid = [float(s) for s in spec.s_grid or (0.5,)]
     (n,) = _sizes(spec)
-    out = np.empty((hi - lo, len(grid)))
-    for i, xy in enumerate(_uniform_samples((spec.seed,), lo, hi, n)):
-        prof = quadtree.profile_xy(*xy)
-        out[i] = [prof.eval(float(s)) for s in grid]
-    return out
+    out = np.empty((hi - lo, len(grid)), dtype=np.int64)
+    batch = _Batch(out.reshape(-1), quadtree._QUAD)
+    for i, (xs, ys) in enumerate(_uniform_samples((spec.seed,), lo, hi, n)):
+        for j, s in enumerate(grid):
+            batch.add(i * len(grid) + j, xs, ys, s)
+    batch.flush()
+    return out.astype(float)
 
 
 def _summarize_mean_profile(spec, values):
@@ -329,43 +335,69 @@ def _line_costs(prefix, lo, hi, n=0, t=None, s=None, root_axis=None, suffix=()) 
     stream [*prefix, r, *suffix], r in lo .. hi-1, draw the size (Poisson(t)
     when ``t`` is given, else ``n``), the x's, the y's and a uniform query
     unless ``s`` fixes it; return the quadtree's line costs, or with
-    ``root_axis`` the 2-d tree's.
-
-    Trees of up to ``_BATCH_MAX`` points are counted together, in calls of
-    the level-wise batch kernel of at most ``_BATCH_POINTS`` points (or one
-    larger tree); larger trees go to ``line_cost`` as they are drawn."""
+    ``root_axis`` the 2-d tree's, counted in batches (see ``_Batch``)."""
     if s is not None:
         quadtree._check_query(s)
     rule = quadtree._QUAD if root_axis is None else kdtree._rule(root_axis)
     out = np.empty(hi - lo, dtype=np.int64)
-    batch, held = [], 0  # (index, xs, ys, query) of the trees not yet counted
+    batch = _Batch(out, rule)
     for i, rng in enumerate(_streams(prefix, lo, hi, suffix)):
         if t is None:
             xs, ys = quadtree.sample_uniform_xy(n, rng)
         else:
             xs, ys = quadtree.sample_poisson_xy(t, rng)
-        xi = float(rng.random()) if s is None else s
-        if xs.size <= _BATCH_MAX:
-            if held + xs.size > _BATCH_POINTS and batch:
-                _count_batch(batch, rule, out)
-                batch, held = [], 0
-            batch.append((i, xs, ys, xi))
-            held += xs.size
-        elif root_axis is None:
-            out[i] = quadtree.line_cost(xs, ys, xi)
-        else:
-            out[i] = kdtree.line_cost(xs, ys, xi, root_axis)
-    if batch:
-        _count_batch(batch, rule, out)
+        batch.add(i, xs, ys, float(rng.random()) if s is None else s)
+    batch.flush()
     return out
 
 
-def _count_batch(batch, rule, out) -> None:
-    """out[i] = the line cost of each (i, xs, ys, query) tree of ``batch``."""
-    idx, xs, ys, qs = zip(*batch)
-    sizes = [a.size for a in xs]
-    out[list(idx)] = quadtree._batch_line_costs(np.concatenate(xs), np.concatenate(ys),
-                                                sizes, qs, rule)
+class _Batch:
+    """Line costs of sampled trees under one root rule, counted together in
+    calls of the level-wise batch kernel of at most ``_BATCH_POINTS`` points
+    (or one tree's): ``add(k, xs, ys, s)`` sets out[k] to the cost of the tree
+    on (xs, ys) at x = s, by the next ``flush`` at the latest.
+
+    A tree of up to ``_BATCH_MAX`` points goes to the kernel whole.  A larger
+    one is screened first (``quadtree._screen``): its head is counted
+    exactly at once, and only the later points inside the head's crossing
+    slices wait, each slice as a tree of its own under its own rule.  The
+    inputs are trusted: y's in [0, 1], x's at most 1, general position."""
+
+    def __init__(self, out, rule: int):
+        self.out, self.rule = out, rule
+        self.trees = []  # (k, xs, ys, s) of the small trees
+        self.slices = {}  # rule: [(k, xs, ys, sizes, s)] of the large trees' slices
+        self.held = 0  # points waiting
+
+    def add(self, k: int, xs, ys, s: float) -> None:
+        if xs.size <= _BATCH_MAX:
+            if self.held + xs.size > _BATCH_POINTS and self.held:
+                self.flush()
+            self.trees.append((k, xs, ys, s))
+            self.held += xs.size
+            return
+        self.out[k], groups = quadtree._screen(xs, ys, s, self.rule)
+        size = sum(g[1].size for g in groups)
+        if self.held + size > _BATCH_POINTS and self.held:
+            self.flush()
+        for rule, x, y, sizes in groups:
+            if x.size:
+                self.slices.setdefault(rule, []).append((k, x, y, sizes, s))
+        self.held += size
+
+    def flush(self) -> None:
+        if self.trees:
+            ks, xs, ys, qs = zip(*self.trees)
+            sizes = [a.size for a in xs]
+            self.out[list(ks)] = quadtree._batch_line_costs(
+                np.concatenate(xs), np.concatenate(ys), sizes, qs, self.rule)
+        for rule, parts in self.slices.items():
+            ks, xs, ys, sizes, qs = zip(*parts)
+            m = [a.size for a in sizes]
+            costs = quadtree._batch_line_costs(np.concatenate(xs), np.concatenate(ys),
+                                               np.concatenate(sizes), np.repeat(qs, m), rule)
+            self.out[list(ks)] += np.add.reduceat(costs, np.cumsum(m) - m)
+        self.trees, self.slices, self.held = [], {}, 0
 
 
 def _block_variance_uniform(spec, lo, hi):
@@ -521,10 +553,19 @@ def _check_limit_moments(spec, table, tol_scale):
 
 
 def _block_coupling(spec, lo, hi):
-    out = np.empty((hi - lo, 3))
+    """Per replication the base and extended costs of one extension sample,
+    as ``quadtree.coupled_extension_cost`` defines them, and the rescaled
+    cost of a sample on its own stream."""
+    costs = np.empty((hi - lo, 2), dtype=np.int64)
+    batch = _Batch(costs.reshape(-1), quadtree._QUAD)
     for i, rng in enumerate(_streams((spec.seed,), lo, hi)):
         xs, ys = quadtree.sample_extension_xy(spec.t, spec.eps, rng)
-        out[i, :2] = quadtree.coupled_extension_cost(xs, ys, spec.eps, spec.s)
+        keep = xs >= 0.0
+        batch.add(2 * i, xs[keep], ys[keep], spec.s)
+        batch.add(2 * i + 1, xs, ys, spec.s)
+    batch.flush()
+    out = np.empty((hi - lo, 3))
+    out[:, :2] = costs
     out[:, 2] = _line_costs((spec.seed,), lo, hi, t=spec.t * (1.0 + spec.eps),
                             s=(spec.s + spec.eps) / (1.0 + spec.eps), suffix=(1,))
     return out

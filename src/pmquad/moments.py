@@ -43,9 +43,12 @@ _MIN_GRID = 64
 _MAX_ITER = 30
 _K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
 # Grid points apply_K accepts: a row has up to G <= _K_BLOCK breakpoints; work
-# grows as G^2 (11-13 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon; the
-# 16 cached geometry blocks hold at most 16 * 20 B * _K_BLOCK, about 21 MB).
+# grows as G^2 (11-13 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon).
 _MAX_GRID = 1 << 14
+# Bytes of geometry blocks kept (see _byte_budget_cache): 16 full blocks at 20 B
+# per breakpoint, about 21 MB, which holds every block of a grid of up to
+# about 1000 points.
+_K_CACHE_BYTES = 16 * 20 * _K_BLOCK
 
 
 @dataclass(frozen=True)
@@ -186,6 +189,59 @@ def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
     return g
 
 
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int  # bytes
+    currsize: int  # blocks
+    nbytes: int  # bytes held
+
+
+def _byte_budget_cache(budget: int):
+    """Caches ``_k_geometry``'s blocks within ``budget`` bytes of arrays.
+
+    apply_K walks a grid's blocks in the same order on every call, so a
+    least-recently-used cache smaller than the grid evicts each block just
+    before it is needed again and never hits.  This one keeps the blocks it
+    holds: a block that does not fit is built and not kept, and only the
+    blocks of other grids, oldest first, make room for a new one.  So the
+    iterations over a grid of any size reuse the blocks that fit."""
+
+    def decorate(build):
+        blocks, sizes, stats = {}, {}, [0, 0]  # stats: hits, misses
+
+        @functools.wraps(build)
+        def cached(grid_bytes: bytes, lo: int, hi: int):
+            key = (grid_bytes, lo, hi)
+            geo = blocks.get(key)
+            if geo is not None:
+                stats[0] += 1
+                return geo
+            stats[1] += 1
+            geo = build(grid_bytes, lo, hi)
+            size = sum(v.nbytes for v in geo if isinstance(v, np.ndarray))
+            held = sum(sizes.values())
+            for old in [k for k in blocks if k[0] != grid_bytes]:
+                if held + size <= budget:
+                    break
+                held -= sizes.pop(old)
+                del blocks[old]
+            if held + size <= budget:
+                blocks[key], sizes[key] = geo, size
+            return geo
+
+        def cache_clear() -> None:
+            blocks.clear()
+            sizes.clear()
+            stats[:] = [0, 0]
+
+        cached.cache_info = lambda: _CacheInfo(*stats, budget, len(blocks), sum(sizes.values()))
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
 class _KGeometry(NamedTuple):
     """Breakpoint data of one block of apply_K rows (see _k_geometry).
 
@@ -206,7 +262,7 @@ class _KGeometry(NamedTuple):
     d0: np.ndarray  # and the same for x^(2b)
 
 
-@functools.lru_cache(maxsize=16)
+@_byte_budget_cache(_K_CACHE_BYTES)
 def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
     """The part of apply_K's exact product integration that f does not enter,
     for the edge integrals lo .. hi-1 on one grid.

@@ -7,12 +7,15 @@ crossing the line (the latter two are kept as independently coded oracles).
 ``line_cost`` computes the same count straight from a point sequence without
 materializing nodes, which is what makes desk-scale Monte Carlo cheap.  It
 shares one kernel with ``kdtree.line_cost``; a vectorized block filter lets
-the exact per-point update skip the many points that cannot cross.  Below
-about 2000 points that update's Python loop dominates, so sampled
-replications count their trees of up to ``harness._BATCH_MAX`` points with
-``_batch_line_costs`` instead: many trees per numpy call, level by level,
-keeping only the cells that meet the line.  Both give the same counts and
-take no root box, as the count depends only on the points and their order.
+the exact per-point update skip the many points that cannot cross.  Sampled
+replications count many trees per numpy call instead, with
+``_batch_line_costs``, which works level by level and keeps only the cells
+that meet the line: a tree of up to ``harness._BATCH_MAX`` points goes to it
+whole, and a larger one after ``_screen``, which gives the first ``HEAD``
+points the exact update and passes on only the later points inside the
+slices they leave, each slice a small tree of its own.  All give the same
+counts and take no root box, as the count depends only on the points and
+their order.
 
 The whole profile s -> cost comes from every node's cell x-extent.
 ``profile_xy`` (and ``kdtree.profile_xy``) get those extents from one
@@ -286,63 +289,117 @@ def _cell_edges(g: int) -> np.ndarray:
     return edges
 
 
+def _root_slices(rule: int) -> tuple:
+    """(yb, lo, hi, rules) of the one slice of an empty tree: slice i spans
+    [yb[i], yb[i+1]) in y, the last one up to 1, and [lo[i], hi[i]) in x, and
+    its next split follows rules[i].  The root slice is (-inf, 1.0], closed at
+    1.0 so that a point there still counts."""
+    return [0.0], [-math.inf], [1.0], [rule]
+
+
+def _split_slices(px, py, s: float, yb, lo, hi, rules) -> int:
+    """The exact per-point update: each point (px, py lists, in arrival
+    order) inside a slice is a crossing node and splits that slice in place.
+    Returns the number of crossing nodes."""
+    count = 0
+    for x, y in zip(px, py):
+        i = bisect_right(yb, y) - 1
+        b = hi[i]
+        if lo[i] <= x and (x < b or x == b == 1.0):
+            count += 1
+            r = rules[i]
+            nxt = rules[i] = _AFTER[r]
+            if r != _KD_H:
+                if s < x:
+                    hi[i] = x
+                else:
+                    lo[i] = x
+            if r != _KD_V:
+                yb.insert(i + 1, y)
+                lo.insert(i + 1, lo[i])
+                hi.insert(i + 1, hi[i])
+                rules.insert(i + 1, nxt)
+    return count
+
+
+def _hull_keep(yb_a, lo_a, hi_a, bx, by) -> np.ndarray:
+    """Which points (bx, by) may lie inside a slice (yb_a, lo_a, hi_a as
+    arrays): a mask that passes every point inside one, and x == hi == 1.0.
+
+    The hull has g cells of [0, 1] (g a power of two, so y is in cell
+    floor(y g) exactly), each with the closed x-hull of the slices
+    first[j] .. first[j + 1] meeting it."""
+    g = 2 << yb_a.size.bit_length()
+    first = yb_a.searchsorted(_cell_edges(g), side="right") - 1
+    lo_g = np.minimum(np.minimum.reduceat(lo_a, first[:-1]), lo_a[first[1:]])
+    hi_g = np.maximum(np.maximum.reduceat(hi_a, first[:-1]), hi_a[first[1:]])
+    cell = (by * g).astype(np.intp)  # y == 1 gives g, clipped to the top cell
+    return (lo_g.take(cell, mode="clip") <= bx) & (bx <= hi_g.take(cell, mode="clip"))
+
+
 def _slice_cost(xs, ys, s: float, rule: int) -> int:
     """Crossings of x = s by the tree on the points (xs, ys) in arrival order.
 
     Keeps the leaf cells crossing the line as slices that tile [0, 1] in y,
-    each with its x-extent and next split rule; a point inside a slice is a
-    crossing node and splits it.  The root slice is (-inf, 1.0], closed at
-    1.0 so that a point there still counts.  The first ``HEAD`` points each
-    get that exact update.  After them slices only shrink as points arrive,
-    so each block [m, 4m) is first tested in one pass against a hull of the
-    slices as they stood at m, rebuilt once per block from one array of the
-    slices.  That test passes every crossing, and only the points that pass
-    get the exact update.
+    each with its x-extent and next split rule (see ``_root_slices``); a
+    point inside a slice is a crossing node and splits it.  The first
+    ``HEAD`` points each get that exact update.  After them slices only
+    shrink as points arrive, so each block [m, 4m) is first tested in one
+    pass against a hull of the slices as they stood at m, rebuilt once per
+    block from one array of the slices.  That test passes every crossing,
+    and only the points that pass get the exact update.
     """
     xs, ys = _coords(xs, ys)
     n = xs.size
     if n > HEAD and not (0.0 <= ys.min() and ys.max() <= 1.0):
         raise ValueError("y-coordinates must lie in [0, 1]")
-    yb = [0.0]  # slice i spans [yb[i], yb[i+1]) in y, the last one up to 1
-    lo = [-math.inf]
-    hi = [1.0]
-    rules = [rule]
-    count = 0
+    slices = _root_slices(rule)
     stop = min(n, HEAD)
-    px, py = xs[:stop].tolist(), ys[:stop].tolist()
-    while True:
-        for x, y in zip(px, py):
-            i = bisect_right(yb, y) - 1
-            b = hi[i]
-            if lo[i] <= x and (x < b or x == b == 1.0):
-                count += 1
-                r = rules[i]
-                nxt = rules[i] = _AFTER[r]
-                if r != _KD_H:
-                    if s < x:
-                        hi[i] = x
-                    else:
-                        lo[i] = x
-                if r != _KD_V:
-                    yb.insert(i + 1, y)
-                    lo.insert(i + 1, lo[i])
-                    hi.insert(i + 1, hi[i])
-                    rules.insert(i + 1, nxt)
-        if stop == n:
-            return count
+    count = _split_slices(xs[:stop].tolist(), ys[:stop].tolist(), s, *slices)
+    while stop < n:
         start, stop = stop, min(n, 4 * stop)
         bx, by = xs[start:stop], ys[start:stop]
-        # The hull: g cells of [0, 1] (g a power of two, so y is in cell
-        # floor(y g) exactly), each with the closed x-hull of the slices
-        # first[j] .. first[j + 1] meeting it; x == hi == 1.0 passes.
-        g = 2 << len(yb).bit_length()
-        yb_a, lo_a, hi_a = np.array((yb, lo, hi), dtype=float)
-        first = yb_a.searchsorted(_cell_edges(g), side="right") - 1
-        lo_g = np.minimum(np.minimum.reduceat(lo_a, first[:-1]), lo_a[first[1:]])
-        hi_g = np.maximum(np.maximum.reduceat(hi_a, first[:-1]), hi_a[first[1:]])
-        cell = (by * g).astype(np.intp)  # y == 1 gives g, clipped to the top cell
-        keep = (lo_g.take(cell, mode="clip") <= bx) & (bx <= hi_g.take(cell, mode="clip"))
-        px, py = bx[keep].tolist(), by[keep].tolist()
+        keep = _hull_keep(*np.array(slices[:3], dtype=float), bx, by)
+        count += _split_slices(bx[keep].tolist(), by[keep].tolist(), s, *slices)
+    return count
+
+
+def _screen(xs, ys, s: float, rule: int) -> tuple:
+    """(count, groups): the crossings among the first ``HEAD`` points of the
+    tree on (xs, ys) queried at s, and the later points that can cross,
+    grouped for ``_batch_line_costs``.
+
+    A later crossing node lies inside one of the slices the head leaves, and
+    the points inside a slice build a subtree of their own: it is rooted at
+    that crossing leaf cell, so its first point is a crossing node, and it
+    splits by the slice's rule.  So the tree's cost is ``count`` plus the
+    costs of those subtrees.  The later points are screened once: by the
+    hull, then exactly by slice.  Each group is (rule, x, y, sizes): the
+    survivors of the slices with that rule, slice after slice in y order and
+    in arrival order within one, and the number in each of those slices
+    (0 included).  Inputs are trusted, as for ``_batch_line_costs``.
+    """
+    slices = _root_slices(rule)
+    stop = min(xs.size, HEAD)
+    count = _split_slices(xs[:stop].tolist(), ys[:stop].tolist(), s, *slices)
+    if stop == xs.size:
+        return count, ()
+    bx, by = xs[stop:], ys[stop:]
+    yb, lo, hi = np.array(slices[:3], dtype=float)
+    pick = _hull_keep(yb, lo, hi, bx, by).nonzero()[0]
+    x = bx.take(pick)
+    i = yb.searchsorted(by.take(pick), side="right") - 1
+    hi[hi == 1.0] = math.inf  # the hull passed only x <= 1: x == hi == 1.0 is inside
+    inside = (lo.take(i) <= x) & (x < hi.take(i))
+    i, m = i[inside].astype(np.int16), yb.size  # m <= HEAD + 1 slices
+    if rule != _QUAD:  # the slices with the kd-h rule follow all the others
+        i += (np.array(slices[3]) == _KD_H).take(i) * np.int16(m)
+    pick = pick[inside].take(i.argsort(kind="stable"))
+    x, y, sizes = bx.take(pick), by.take(pick), np.bincount(i, minlength=2 * m)
+    if rule == _QUAD:
+        return count, ((_QUAD, x, y, sizes[:m]),)
+    cut = int(sizes[:m].sum())
+    return count, ((_KD_V, x[:cut], y[:cut], sizes[:m]), (_KD_H, x[cut:], y[cut:], sizes[m:]))
 
 
 def line_cost(xs, ys, s: float) -> int:
@@ -372,7 +429,8 @@ def _batch_line_costs(xs, ys, sizes, s, rule: int) -> np.ndarray:
     ones, as in ``_node_extents``.  A point is visited about 2.5 (quad) to
     5 (2-d tree) times, each visit an element of a numpy pass over the whole
     batch, which is cheaper than ``_slice_cost``'s one Python update per
-    point up to about 2000 points per tree.  Inputs are trusted: x's at
+    point up to about 2000 points per tree (``_screen``'s slices hold tens
+    of points).  Inputs are trusted: x's at
     most 1, y's in [0, 1], s in [0, 1] and general position, where the
     counts equal ``_slice_cost``'s; like it, this needs no root box.
     """

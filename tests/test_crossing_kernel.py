@@ -473,3 +473,65 @@ class TestApplyK:
         # rows in many small blocks, more than the geometry cache holds
         monkeypatch.setattr(moments, "_K_BLOCK", 3 * grid.size)
         assert np.array_equal(moments.second_moment_iterates(14, grid).values, f_ref.values)
+
+
+def _reference_iterates(n, grid):
+    f = GridFunction(grid=grid, values=(grid * (1.0 - grid)) ** beta_exponent())
+    for _ in range(n):
+        f = reference_apply_k(f)
+    return f.values
+
+
+class TestGeometryCache:
+    """apply_K's geometry blocks are kept within a byte budget, not cycled
+    out: iterations after the first reuse the blocks that fit, with the
+    same bits as the per-grid-point loop."""
+
+    @pytest.fixture
+    def cache(self, monkeypatch):
+        def install(budget):
+            cache = moments._byte_budget_cache(budget)(moments._k_geometry.__wrapped__)
+            monkeypatch.setattr(moments, "_k_geometry", cache)
+            return cache
+        return install
+
+    def test_grid_of_more_than_16_blocks_hits(self, cache):
+        c = cache(moments._K_CACHE_BYTES)
+        grid = make_grid(1000)
+        got = moments.second_moment_iterates(3, grid).values
+        assert c.cache_info()[:2] == (62, 31)  # all 31 blocks fit; the old LRU read 0 of 93
+        assert np.array_equal(got, _reference_iterates(3, grid))
+
+    def test_blocks_beyond_the_budget_are_built_each_time(self, cache):
+        grid = make_grid(1000)
+        step = moments._K_BLOCK // grid.size
+        blocks = len(range(0, 2 * grid.size, step))
+        one = moments._k_geometry.__wrapped__(grid.tobytes(), 0, step)
+        c = cache(3 * sum(v.nbytes for v in one if isinstance(v, np.ndarray)))
+        got = moments.second_moment_iterates(2, grid).values
+        info = c.cache_info()
+        assert 1 <= info.currsize < blocks and info.nbytes <= info.maxsize
+        assert info.hits == info.currsize and info.misses == 2 * blocks - info.hits
+        assert np.array_equal(got, _reference_iterates(2, grid))
+
+    def test_other_grids_make_room(self, cache):
+        c = cache(moments._K_CACHE_BYTES)
+        small, large = make_grid(512, extra=(0.4,)), make_grid(1000)
+        moments.second_moment_iterates(2, small)
+        assert c.cache_info().currsize == 9
+        moments.second_moment_iterates(2, large)
+        # the large grid's 31 blocks take nearly all of the budget: the
+        # small grid's blocks leave, oldest first, only as far as needed
+        kept = c.cache_info().currsize - 31
+        assert 0 < kept < 9 and c.cache_info().nbytes <= c.cache_info().maxsize
+        hits = c.cache_info().hits
+        moments.second_moment_iterates(1, large)
+        assert c.cache_info().hits == hits + 31
+        moments.second_moment_iterates(1, small)
+        assert c.cache_info().hits == hits + 31 + kept
+
+    def test_limit_moments_grid_keeps_its_hits(self, cache):
+        c = cache(moments._K_CACHE_BYTES)
+        moments.second_moment_iterates(14, make_grid(512, extra=(0.4,)))
+        assert c.cache_info()[:2] == (13 * 9, 9)
+        assert c.cache_info().currsize == 9

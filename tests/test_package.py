@@ -29,6 +29,7 @@ def test_public_helpers_exported(module, attr):
 # The object trees are the oracle the array kernels are tested against, so
 # they must not reach the kernels' rule encoding or the kernels themselves.
 KERNEL_NAMES = {"_slice_cost", "_batch_line_costs", "_cell_edges", "_node_extents", "_profile_xy",
+                "_root_slices", "_split_slices", "_hull_keep", "_screen", "_Batch",
                 "_AFTER", "_QUAD", "_KD_V", "_KD_H", "HEAD"}
 
 
@@ -90,3 +91,14 @@ def test_importing_the_package_leaves_numpy_unloaded():
 def test_cli_keeps_openblas_to_one_thread_unless_set(preset, want):
     code = "import os, pmquad.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert _fresh(code, OPENBLAS_NUM_THREADS=preset) == want
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_caches_clear_without_arguments(name):
+    # a benchmark or test may reset state by calling cache_clear() on every
+    # module attribute that has one, as on an lru_cache
+    mod = importlib.import_module(name)
+    caches = [f for f in vars(mod).values() if callable(getattr(f, "cache_clear", None))]
+    for f in caches:
+        f.cache_clear()
+    assert name != "pmquad.moments" or caches
