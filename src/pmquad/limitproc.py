@@ -16,6 +16,8 @@ is vectorizable across boxes and across independent environments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import CapExceededError
@@ -121,7 +123,7 @@ def g_apply(x: float, y: float, f1, f2, f3, f4, s: float) -> float:
     return ((1.0 - x) * y) ** b * f3(u) + ((1.0 - x) * (1.0 - y)) ** b * f4(u)
 
 
-def _label_uniforms(state: np.ndarray, family: int, z=None, t=None):
+def _label_uniforms(state: np.ndarray, family: int, z=None, t=None, out=None):
     """Uniform in (0, 1) from the splitmix64 finalizer of a box's counter state.
 
     The root's state is seed + G3, and child j (0..3) of a box with state x
@@ -130,14 +132,37 @@ def _label_uniforms(state: np.ndarray, family: int, z=None, t=None):
     hashes state + f GOLDEN = (3 c + f) GOLDEN + seed; the counter 3 c + f is
     injective over (address, family) pairs, so no two labels in a run ever
     share a generator state.  The hash runs in place in the uint64 scratch
-    arrays ``z`` and ``t`` of state's shape, allocated when not given.
+    arrays ``z`` and ``t`` of state's shape, and the uniforms go to the
+    float64 array ``out``; each is allocated when not given.
     """
     z = _mix64_arr(np.add(state, np.uint64((family * _GOLDEN) & _M64), out=z), t)
     # 53-bit mantissa offset by half a step: values stay in the open interval
     z >>= np.uint64(11)
-    out = np.add(z.view(np.int64), 0.5)  # < 2^53: exact either way
+    out = np.add(z.view(np.int64), 0.5, out=out)  # < 2^53: exact either way
     out *= 2.0**-53
     return out
+
+
+class _Workspace:
+    """Grow-only flat buffers, one per role, handed out as shaped views.
+
+    One expansion call makes one workspace, and every level and batch of the
+    call writes into it, so the call maps its memory once instead of
+    fresh temporaries at every level that the allocator hands back to the
+    system when they are freed.  A role's buffer holds ``reserve`` elements,
+    or the first larger request; a request larger still replaces it.
+    """
+
+    def __init__(self, reserve: int):
+        self._reserve = reserve
+        self._flat = {}
+
+    def take(self, role, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._flat.get(role)
+        if buf is None or buf.size < size:
+            buf = self._flat[role] = np.empty(max(size, self._reserve), dtype)
+        return buf[:size].reshape(shape)
 
 
 # Layout of the crossing-box expansion.  The boxes of one level are an
@@ -151,36 +176,47 @@ def _label_uniforms(state: np.ndarray, family: int, z=None, t=None):
 # top levels, and a slice of its rows at the bottom levels, which continue
 # from those rows' boxes as if they had been expanded alone.  Past the split
 # level of a deep expansion each row is one subtree root instead.
+#
+# Every box array lives in a _Workspace.  A level's outputs go to the
+# buffers of its key (phase, level parity), so a level reads its parent's
+# buffers while it writes the other pair; the top phase and the bottom phase
+# have pairs of their own, as the bottom batches slice the top's last level.
 
 
-def _children(state, log_area, u, two_d: bool):
+def _children(state, log_area, u, two_d: bool, ws: _Workspace, key):
     """Split each box at its labels: the children's log-areas (m, 2, D*H),
-    their relative position (m, 1, D*H) and the left-branch mask (m, D, H)."""
-    m, d, w = state.shape
-    z = np.empty_like(state)
-    t = np.empty_like(state)
-    U = _label_uniforms(state, 0, z=z, t=t)
-    h_bottom = _label_uniforms(state, 1, z=z, t=t)
-    left = u < U
+    their relative position (m, 1, D*H) and the left-branch mask (m, D, H).
+
+    The results are views of ``ws``: the two outputs in the buffers of
+    ``key``, the mask and the scratch in buffers that every call overwrites.
+    Each element takes the operations it would take in fresh arrays, so
+    where it is written changes no bit."""
+    m, d, w = shape = state.shape
+    z = ws.take("z", shape, np.uint64)
+    t = ws.take("t", shape, np.uint64)
+    U = _label_uniforms(state, 0, z, t, ws.take("U", shape))
+    h_bottom = _label_uniforms(state, 1, z, t, ws.take("h", shape))
+    left = np.less(u, U, out=ws.take("left", shape, np.bool_))
     # branch selection by blending, exact for finite values: x * 1 + y * 0 == x
-    take_left = left.astype(np.float64)
-    take_right = 1.0 - take_left
+    take_left = ws.take("take_left", shape)
+    np.copyto(take_left, left)
+    take_right = np.subtract(1.0, take_left, out=ws.take("take_right", shape))
     if two_d:
-        W = _label_uniforms(state, 2, z=z, t=t)
+        W = _label_uniforms(state, 2, z, t, ws.take("W", shape))
         h_bottom *= take_left
         W *= take_right
         h_bottom += W
-    width = 1.0 - U
-    u_next = u - U
+    width = np.subtract(1.0, U, out=ws.take("width", shape))
+    u_next = np.subtract(u, U, out=ws.take(("u", key), shape))
     u_next /= width
     u_next *= take_right
-    u_left = u / U
+    u_left = np.divide(u, U, out=ws.take("u_left", shape))
     u_left *= take_left
     u_next += u_left
     width *= take_right
     U *= take_left
     width += U
-    la = np.empty((m, 2, d, w))
+    la = ws.take(("la", key), (m, 2, d, w))
     np.multiply(width, h_bottom, out=la[:, 0])
     np.subtract(1.0, h_bottom, out=la[:, 1])
     la[:, 1] *= width
@@ -189,29 +225,32 @@ def _children(state, log_area, u, two_d: bool):
     return la.reshape(m, 2, d * w), u_next.reshape(m, 1, d * w), left
 
 
-def _descend(state, log_area, u, seed_off, levels: int, two_d: bool):
+def _descend(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, phase):
     """The boxes ``levels`` levels further down.  ``seed_off`` (m, 1) is
     -3 seed mod 2^64: a child's counter state is 4 state - 3 seed + digit G3,
     with digit its last base-4 address digit."""
-    for _ in range(levels):
+    for level in range(levels):
         m = state.shape[0]
-        log_area, u_next, left = _children(state, log_area, u, two_d)
-        nxt = np.empty(log_area.shape, dtype=np.uint64)
+        key = (phase, level % 2)
+        log_area, u_next, left = _children(state, log_area, u, two_d, ws, key)
+        nxt = ws.take(("state", key), log_area.shape, np.uint64)
         bottom = nxt[:, 0]
         np.multiply(state.reshape(m, -1), np.uint64(4), out=bottom)
         bottom += seed_off
-        bottom += np.multiply(~left.reshape(m, -1), np.uint64(_TWO_GOLDEN3))
+        right = np.invert(left, out=left).reshape(m, -1)
+        bottom += np.multiply(right, np.uint64(_TWO_GOLDEN3),
+                              out=ws.take("z", bottom.shape, np.uint64))
         np.add(bottom, np.uint64(_GOLDEN3), out=nxt[:, 1])
         state, u = nxt, u_next
     return state, log_area, u
 
 
-def _leaves(state, log_area, u, seed_off, levels: int, two_d: bool):
+def _leaves(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, phase):
     """(log-area, relative position) of the boxes ``levels`` levels down."""
     if levels == 0:
         return log_area, u
-    state, log_area, u = _descend(state, log_area, u, seed_off, levels - 1, two_d)
-    return _children(state, log_area, u, two_d)[:2]
+    state, log_area, u = _descend(state, log_area, u, seed_off, levels - 1, two_d, ws, phase)
+    return _children(state, log_area, u, two_d, ws, (phase, (levels - 1) % 2))[:2]
 
 
 def _roots(s, seeds: np.ndarray):
@@ -227,18 +266,22 @@ def _roots(s, seeds: np.ndarray):
 def _pairwise_fold(a: np.ndarray) -> np.ndarray:
     """Sum along the last axis by repeated halving: order-fixed, shape-stable.
 
-    Column j meets column j + half, which in halves order is its sibling."""
+    Column j meets column j + half, which in halves order is its sibling.
+    The sums overwrite a's first half, level by level."""
     while a.shape[-1] > 1:
         half = a.shape[-1] // 2
-        a = a[..., :half] + a[..., half:]
+        a = np.add(a[..., :half], a[..., half:], out=a[..., :half])
     return a[..., 0]
 
 
-def _box_sums(log_area, u) -> np.ndarray:
-    """Per row, the fold of area^beta * h(u) over the row's boxes."""
+def _box_sums(log_area, u, ws: _Workspace) -> np.ndarray:
+    """Per row, the fold of area^beta * h(u) over the row's boxes, computed
+    in place in log_area."""
     b = beta_exponent()
     m = log_area.shape[0]
-    g = (u * (1.0 - u)) ** (b / 2.0)
+    g = np.subtract(1.0, u, out=ws.take("g", u.shape))
+    g *= u
+    np.power(g, b / 2.0, out=g)
     log_area *= b
     terms = np.exp(log_area, out=log_area)
     terms *= g
@@ -273,7 +316,10 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
 
     The labels depend only on (seed, address) and each row's boxes keep
     their halves order, so the order of the work changes no bit of the
-    result.
+    result.  Every box array and temporary is a view of one _Workspace per
+    call, whose buffers hold at most _BOX_BUDGET elements each (a split
+    level that outgrows the budget, under a small budget, grows them), so
+    the levels and batches reuse the same memory.
     """
     s = np.broadcast_to(_check_depth_query(n, s), seeds.shape)
     log_budget = _BOX_BUDGET.bit_length() - 1
@@ -285,11 +331,12 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
         top = min(n, log_budget // 2)
         chunk = _BOX_BUDGET >> top
     batch = max(1, _BOX_BUDGET >> n)
+    ws = _Workspace(min(_BOX_BUDGET, seeds.shape[0] << n))
     out = np.empty(seeds.shape[0])
     for lo in range(0, seeds.shape[0], chunk):
         state, log_area, u, seed_off = _roots(s[lo:lo + chunk], seeds[lo:lo + chunk])
         m = state.shape[0]
-        state, log_area, u = _descend(state, log_area, u, seed_off, top, two_d)
+        state, log_area, u = _descend(state, log_area, u, seed_off, top, two_d, ws, "top")
         if n > log_budget:  # every box at the split level roots one subtree
             r = state.size
             u = np.broadcast_to(u, state.shape).reshape(r, 1, 1)
@@ -299,8 +346,9 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
         sums = np.empty(state.shape[0])
         for j in range(0, state.shape[0], batch):
             k = slice(j, j + batch)
-            sums[k] = _box_sums(*_leaves(state[k], log_area[k], u[k], seed_off[k],
-                                         n - top, two_d))
+            leaves = _leaves(state[k], log_area[k], u[k], seed_off[k], n - top, two_d,
+                             ws, "bottom")
+            sums[k] = _box_sums(*leaves, ws)
         out[lo:lo + m] = _pairwise_fold(sums.reshape(m, -1))
     return out
 
@@ -315,7 +363,7 @@ def crossing_boxes(n: int, s: float, seed: int, two_d: bool = False):
     """
     s = _check_depth_query(n, s)
     seeds = np.array([seed & _M64], dtype=np.uint64)
-    log_area, u = _leaves(*_roots(s, seeds), n, two_d)
+    log_area, u = _leaves(*_roots(s, seeds), n, two_d, _Workspace(1 << n), "bottom")
     u = np.broadcast_to(u, log_area.shape)
     # halves order to breadth-first order: reverse the n path bits
     order = np.zeros(1, dtype=np.intp)
