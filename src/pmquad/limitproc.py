@@ -147,10 +147,11 @@ class _Workspace:
     """Grow-only flat buffers, one per role, handed out as shaped views.
 
     One expansion call makes one workspace, and every level and batch of the
-    call writes into it, so the call maps its memory once instead of
-    fresh temporaries at every level that the allocator hands back to the
-    system when they are freed.  A role's buffer holds ``reserve`` elements,
-    or the first larger request; a request larger still replaces it.
+    call writes into it, so the call touches its memory once.  Fresh
+    temporaries at every level were paged in anew each time, since the
+    allocator hands large freed blocks back to the system.  A role's buffer
+    holds ``reserve`` elements, or the first larger request; a request
+    larger still replaces it.
     """
 
     def __init__(self, reserve: int):
@@ -177,10 +178,11 @@ class _Workspace:
 # from those rows' boxes as if they had been expanded alone.  Past the split
 # level of a deep expansion each row is one subtree root instead.
 #
-# Every box array lives in a _Workspace.  A level's outputs go to the
-# buffers of its key (phase, level parity), so a level reads its parent's
-# buffers while it writes the other pair; the top phase and the bottom phase
-# have pairs of their own, as the bottom batches slice the top's last level.
+# Every box array below the roots lives in a _Workspace.  A level's outputs
+# go to the buffers of its key (phase, level parity), so a level reads its
+# parent's buffers while it writes the other pair; the top phase and the
+# bottom phase have pairs of their own, as the bottom batches slice the top's
+# last level.
 
 
 def _children(state, log_area, u, two_d: bool, ws: _Workspace, key):
