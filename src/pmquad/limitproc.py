@@ -148,7 +148,7 @@ class _Workspace:
 
     One expansion call makes one workspace, and every level and batch of the
     call writes into it, so the call touches its memory once.  Fresh
-    temporaries at every level were paged in anew each time, since the
+    temporaries at every level would be paged in anew each time, since the
     allocator hands large freed blocks back to the system.  A role's buffer
     holds ``reserve`` elements, or the first larger request; a request
     larger still replaces it.
@@ -179,18 +179,17 @@ class _Workspace:
 # level of a deep expansion each row is one subtree root instead.
 #
 # Every box array below the roots lives in a _Workspace.  A level's outputs
-# go to the buffers of its key (phase, level parity), so a level reads its
-# parent's buffers while it writes the other pair; the top phase and the
-# bottom phase have pairs of their own, as the bottom batches slice the top's
-# last level.
+# go to the buffers of one slot and its parent's sit in another, so the
+# levels of a descent alternate two slots.  The bottom batches slice the top
+# levels' last one, which keeps its slot while they run.
 
 
-def _children(state, log_area, u, two_d: bool, ws: _Workspace, key):
+def _children(state, log_area, u, two_d: bool, ws: _Workspace, slot):
     """Split each box at its labels: the children's log-areas (m, 2, D*H),
     their relative position (m, 1, D*H) and the left-branch mask (m, D, H).
 
     The results are views of ``ws``: the two outputs in the buffers of
-    ``key``, the mask and the scratch in buffers that every call overwrites.
+    ``slot``, the mask and the scratch in buffers that every call overwrites.
     Each element takes the operations it would take in fresh arrays, so
     where it is written changes no bit."""
     m, d, w = shape = state.shape
@@ -208,17 +207,18 @@ def _children(state, log_area, u, two_d: bool, ws: _Workspace, key):
         h_bottom *= take_left
         W *= take_right
         h_bottom += W
-    width = np.subtract(1.0, U, out=ws.take("width", shape))
-    u_next = np.subtract(u, U, out=ws.take(("u", key), shape))
+    # the hash scratch is free now: width and u_left reuse its memory
+    width = np.subtract(1.0, U, out=t.view(np.float64))
+    u_next = np.subtract(u, U, out=ws.take(("u", slot), shape))
     u_next /= width
     u_next *= take_right
-    u_left = np.divide(u, U, out=ws.take("u_left", shape))
+    u_left = np.divide(u, U, out=z.view(np.float64))
     u_left *= take_left
     u_next += u_left
     width *= take_right
     U *= take_left
     width += U
-    la = ws.take(("la", key), (m, 2, d, w))
+    la = ws.take(("la", slot), (m, 2, d, w))
     np.multiply(width, h_bottom, out=la[:, 0])
     np.subtract(1.0, h_bottom, out=la[:, 1])
     la[:, 1] *= width
@@ -227,15 +227,16 @@ def _children(state, log_area, u, two_d: bool, ws: _Workspace, key):
     return la.reshape(m, 2, d * w), u_next.reshape(m, 1, d * w), left
 
 
-def _descend(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, phase):
-    """The boxes ``levels`` levels further down.  ``seed_off`` (m, 1) is
-    -3 seed mod 2^64: a child's counter state is 4 state - 3 seed + digit G3,
-    with digit its last base-4 address digit."""
+def _descend(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, slots):
+    """The boxes ``levels`` levels further down, level i written to the
+    workspace slot slots[i % 2].  ``seed_off`` (m, 1) is -3 seed mod 2^64:
+    a child's counter state is 4 state - 3 seed + digit G3, with digit its
+    last base-4 address digit."""
     for level in range(levels):
         m = state.shape[0]
-        key = (phase, level % 2)
-        log_area, u_next, left = _children(state, log_area, u, two_d, ws, key)
-        nxt = ws.take(("state", key), log_area.shape, np.uint64)
+        slot = slots[level % 2]
+        log_area, u_next, left = _children(state, log_area, u, two_d, ws, slot)
+        nxt = ws.take(("state", slot), log_area.shape, np.uint64)
         bottom = nxt[:, 0]
         np.multiply(state.reshape(m, -1), np.uint64(4), out=bottom)
         bottom += seed_off
@@ -247,12 +248,12 @@ def _descend(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Worksp
     return state, log_area, u
 
 
-def _leaves(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, phase):
+def _leaves(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, slots):
     """(log-area, relative position) of the boxes ``levels`` levels down."""
     if levels == 0:
         return log_area, u
-    state, log_area, u = _descend(state, log_area, u, seed_off, levels - 1, two_d, ws, phase)
-    return _children(state, log_area, u, two_d, ws, (phase, (levels - 1) % 2))[:2]
+    state, log_area, u = _descend(state, log_area, u, seed_off, levels - 1, two_d, ws, slots)
+    return _children(state, log_area, u, two_d, ws, slots[(levels - 1) % 2])[:2]
 
 
 def _roots(s, seeds: np.ndarray):
@@ -281,7 +282,7 @@ def _box_sums(log_area, u, ws: _Workspace) -> np.ndarray:
     in place in log_area."""
     b = beta_exponent()
     m = log_area.shape[0]
-    g = np.subtract(1.0, u, out=ws.take("g", u.shape))
+    g = np.subtract(1.0, u, out=ws.take("z", u.shape, np.uint64).view(np.float64))
     g *= u
     np.power(g, b / 2.0, out=g)
     log_area *= b
@@ -333,12 +334,15 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
         top = min(n, log_budget // 2)
         chunk = _BOX_BUDGET >> top
     batch = max(1, _BOX_BUDGET >> n)
+    # the top levels alternate slots 0 and 1 and end in slot (top - 1) % 2;
+    # the bottom levels take the top's other slot at their last, largest level
+    bottom_slots = (top % 2, 2) if (n - top) % 2 else (2, top % 2)
     ws = _Workspace(min(_BOX_BUDGET, seeds.shape[0] << n))
     out = np.empty(seeds.shape[0])
     for lo in range(0, seeds.shape[0], chunk):
         state, log_area, u, seed_off = _roots(s[lo:lo + chunk], seeds[lo:lo + chunk])
         m = state.shape[0]
-        state, log_area, u = _descend(state, log_area, u, seed_off, top, two_d, ws, "top")
+        state, log_area, u = _descend(state, log_area, u, seed_off, top, two_d, ws, (0, 1))
         if n > log_budget:  # every box at the split level roots one subtree
             r = state.size
             u = np.broadcast_to(u, state.shape).reshape(r, 1, 1)
@@ -349,7 +353,7 @@ def _crossing_sums(n: int, s, seeds: np.ndarray, two_d: bool) -> np.ndarray:
         for j in range(0, state.shape[0], batch):
             k = slice(j, j + batch)
             leaves = _leaves(state[k], log_area[k], u[k], seed_off[k], n - top, two_d,
-                             ws, "bottom")
+                             ws, bottom_slots)
             sums[k] = _box_sums(*leaves, ws)
         out[lo:lo + m] = _pairwise_fold(sums.reshape(m, -1))
     return out
@@ -365,7 +369,7 @@ def crossing_boxes(n: int, s: float, seed: int, two_d: bool = False):
     """
     s = _check_depth_query(n, s)
     seeds = np.array([seed & _M64], dtype=np.uint64)
-    log_area, u = _leaves(*_roots(s, seeds), n, two_d, _Workspace(1 << n), "bottom")
+    log_area, u = _leaves(*_roots(s, seeds), n, two_d, _Workspace(1 << n), (0, 1))
     u = np.broadcast_to(u, log_area.shape)
     # halves order to breadth-first order: reverse the n path bits
     order = np.zeros(1, dtype=np.intp)
