@@ -279,7 +279,7 @@ def _pairwise_fold(a: np.ndarray) -> np.ndarray:
 
 def _box_sums(log_area, u, ws: _Workspace) -> np.ndarray:
     """Per row, the fold of area^beta * h(u) over the row's boxes, computed
-    in place in log_area."""
+    in place in log_area; h(u) goes to the workspace's hash scratch."""
     b = beta_exponent()
     m = log_area.shape[0]
     g = np.subtract(1.0, u, out=ws.take("z", u.shape, np.uint64).view(np.float64))

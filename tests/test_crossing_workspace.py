@@ -3,10 +3,10 @@ replaced, and the page faults that the workspace saves.
 
 The reference below is the kernel as it stood before every level wrote into
 one reused workspace: ``_children`` -> ``_descend`` -> ``_leaves`` ->
-``_box_sums`` with the driver ``_crossing_sums`` and ``crossing_boxes``, kept
-verbatim (with their helpers), except that the driver reads the budget and
-the input check from ``limitproc`` so that a monkeypatched budget reaches
-both sides.  Every comparison is bit for bit.
+``_box_sums``, with ``_crossing_sums`` and ``crossing_boxes`` on top, kept
+verbatim (with their helpers), except that the budget and the input check
+are read from ``limitproc``, so that a monkeypatched budget reaches both
+sides.  Every comparison is bit for bit.
 """
 
 import json
