@@ -75,6 +75,13 @@ def _threads(value: str) -> int:
     return n
 
 
+def _seed(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _tol_scale(value: str) -> float:
     x = float(value)
     if not 0.0 < x < math.inf:
@@ -84,7 +91,7 @@ def _tol_scale(value: str) -> float:
 
 def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    p.add_argument("--seed", type=int, default=d(0), help="master seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=d(0), help="master seed, >= 0 (default 0)")
     p.add_argument("--threads", type=_threads, default=d(1),
                    help="worker processes for commands with --replications "
                         "(default 1; at most one per block of 256 replications and per "

@@ -45,9 +45,9 @@ _K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
 # Grid points apply_K accepts: a row has up to G <= _K_BLOCK breakpoints; work
 # grows as G^2 (11-13 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon).
 _MAX_GRID = 1 << 14
-# Bytes of geometry blocks kept (see _byte_budget_cache): 16 full blocks at 20 B
-# per breakpoint, about 21 MB, which holds every block of a grid of up to
-# about 1000 points.
+# Bytes of one grid's geometry blocks kept (see _kept_geometry): 16 full blocks
+# at 20 B per breakpoint, about 21 MB, which holds every block of a grid of up
+# to about 1000 points.
 _K_CACHE_BYTES = 16 * 20 * _K_BLOCK
 
 
@@ -189,59 +189,6 @@ def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
     return g
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int  # bytes
-    currsize: int  # blocks
-    nbytes: int  # bytes held
-
-
-def _byte_budget_cache(budget: int):
-    """Caches ``_k_geometry``'s blocks within ``budget`` bytes of arrays.
-
-    apply_K walks a grid's blocks in the same order on every call, so a
-    least-recently-used cache smaller than the grid evicts each block just
-    before it is needed again and never hits.  This one keeps the blocks it
-    holds: a block that does not fit is built and not kept, and only the
-    blocks of other grids, oldest first, make room for a new one.  So the
-    iterations over a grid of any size reuse the blocks that fit."""
-
-    def decorate(build):
-        blocks, sizes, stats = {}, {}, [0, 0]  # stats: hits, misses
-
-        @functools.wraps(build)
-        def cached(grid_bytes: bytes, lo: int, hi: int):
-            key = (grid_bytes, lo, hi)
-            geo = blocks.get(key)
-            if geo is not None:
-                stats[0] += 1
-                return geo
-            stats[1] += 1
-            geo = build(grid_bytes, lo, hi)
-            size = sum(v.nbytes for v in geo if isinstance(v, np.ndarray))
-            held = sum(sizes.values())
-            for old in [k for k in blocks if k[0] != grid_bytes]:
-                if held + size <= budget:
-                    break
-                held -= sizes.pop(old)
-                del blocks[old]
-            if held + size <= budget:
-                blocks[key], sizes[key] = geo, size
-            return geo
-
-        def cache_clear() -> None:
-            blocks.clear()
-            sizes.clear()
-            stats[:] = [0, 0]
-
-        cached.cache_info = lambda: _CacheInfo(*stats, budget, len(blocks), sum(sizes.values()))
-        cached.cache_clear = cache_clear
-        return cached
-
-    return decorate
-
-
 class _KGeometry(NamedTuple):
     """Breakpoint data of one block of apply_K rows (see _k_geometry).
 
@@ -262,7 +209,6 @@ class _KGeometry(NamedTuple):
     d0: np.ndarray  # and the same for x^(2b)
 
 
-@_byte_budget_cache(_K_CACHE_BYTES)
 def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
     """The part of apply_K's exact product integration that f does not enter,
     for the edge integrals lo .. hi-1 on one grid.
@@ -313,6 +259,26 @@ def _breakpoints(grid, col, heads, sigma) -> np.ndarray:
     return us
 
 
+@functools.lru_cache(maxsize=1)
+def _kept_geometry(grid_bytes: bytes, step: int) -> tuple:
+    """The longest prefix of apply_K's blocks of ``step`` rows on one grid,
+    in block order, whose geometry fits in _K_CACHE_BYTES.
+
+    Iterating K applies it to one grid again and again, and each call walks
+    the blocks in the same order, so the calls after the first reuse the
+    blocks kept here and rebuild only the rest.  Only the last grid and
+    block layout asked for is kept."""
+    rows = 2 * np.frombuffer(grid_bytes).size
+    kept, held = [], 0
+    for lo in range(0, rows, step):
+        geo = _k_geometry(grid_bytes, lo, min(lo + step, rows))
+        held += sum(v.nbytes for v in geo if isinstance(v, np.ndarray))
+        if held > _K_CACHE_BYTES:
+            break
+        kept.append(geo)
+    return tuple(kept)
+
+
 def _edge_integrals(geo: _KGeometry, n_rows: int, grid, vals, b: float) -> np.ndarray:
     """The edge integrals of one block of rows, for the piecewise-linear f
     with these grid values; each row's terms are summed in the row's order."""
@@ -357,9 +323,12 @@ def apply_K(f: GridFunction) -> GridFunction:
     n = grid.size
     edge = np.empty(2 * n)
     step = max(1, _K_BLOCK // n)
-    for lo in range(0, 2 * n, step):
+    kept = _kept_geometry(key, step)
+    for i, lo in enumerate(range(0, 2 * n, step)):
         hi = min(lo + step, 2 * n)
-        edge[lo:hi] = _edge_integrals(_k_geometry(key, lo, hi), hi - lo, grid, vals, b)
+        # no name holds a rebuilt block while the next one is built
+        edge[lo:hi] = _edge_integrals(kept[i] if i < len(kept) else _k_geometry(key, lo, hi),
+                                      hi - lo, grid, vals, b)
     inhom = 2.0 * beta_fn(b + 1.0, b + 1.0) / (b + 1.0) * (grid * (1.0 - grid)) ** b
     scale = 2.0 / (2.0 * b + 1.0)
     return GridFunction(grid=grid, values=scale * (edge[:n] + edge[n:]) + inhom)

@@ -351,8 +351,9 @@ def _slice_cost(xs, ys, s: float, rule: int) -> int:
     """
     xs, ys = _coords(xs, ys)
     n = xs.size
-    if n > HEAD and not (0.0 <= ys.min() and ys.max() <= 1.0):
-        raise ValueError("y-coordinates must lie in [0, 1]")
+    # min and max return NaN if any element is NaN, and NaN fails every test
+    if n and not (0.0 <= ys.min() and ys.max() <= 1.0 and xs.max() <= 1.0):
+        raise ValueError("coordinates must have y in [0, 1], x <= 1 and no NaN")
     slices = _root_slices(rule)
     stop = min(n, HEAD)
     count = _split_slices(xs[:stop].tolist(), ys[:stop].tolist(), s, *slices)
@@ -405,9 +406,9 @@ def _screen(xs, ys, s: float, rule: int) -> tuple:
 def line_cost(xs, ys, s: float) -> int:
     """cost(build(points), s) computed without building nodes.
 
-    Coordinates must be 1-d and of equal length; beyond ``HEAD`` points,
-    y-coordinates outside [0, 1] raise ValueError.  x's below 0 are inside
-    the root cell, so the same count serves the extended-box coupling.  The
+    Coordinates must be 1-d and of equal length, with y in [0, 1], x <= 1
+    and no NaN, or ValueError is raised.  x's below 0 are inside the root
+    cell, so the same count serves the extended-box coupling.  The
     first ``HEAD`` points get one exact update each; blocks [m, 4m) after
     them are screened by a hull first (see ``_slice_cost``), with the same
     count.

@@ -482,56 +482,72 @@ def _reference_iterates(n, grid):
     return f.values
 
 
+def _nbytes(geo):
+    return sum(v.nbytes for v in geo if isinstance(v, np.ndarray))
+
+
 class TestGeometryCache:
-    """apply_K's geometry blocks are kept within a byte budget, not cycled
-    out: iterations after the first reuse the blocks that fit, with the
-    same bits as the per-grid-point loop."""
+    """apply_K keeps one grid's geometry: the longest prefix of its blocks
+    that fits the byte budget.  Iterations after the first reuse those
+    blocks and rebuild the rest, with the same bits as the per-grid-point
+    loop."""
 
     @pytest.fixture
-    def cache(self, monkeypatch):
-        def install(budget):
-            cache = moments._byte_budget_cache(budget)(moments._k_geometry.__wrapped__)
-            monkeypatch.setattr(moments, "_k_geometry", cache)
-            return cache
-        return install
+    def builds(self, monkeypatch):
+        """The (lo, hi) of every block _k_geometry builds, on an empty cache."""
+        calls, build = [], moments._k_geometry
 
-    def test_grid_of_more_than_16_blocks_hits(self, cache):
-        c = cache(moments._K_CACHE_BYTES)
+        def spy(grid_bytes, lo, hi):
+            calls.append((lo, hi))
+            return build(grid_bytes, lo, hi)
+
+        monkeypatch.setattr(moments, "_k_geometry", spy)
+        moments._kept_geometry.cache_clear()
+        yield calls
+        moments._kept_geometry.cache_clear()  # no prefix kept under a patched budget
+
+    @staticmethod
+    def _blocks(grid):
+        step = moments._K_BLOCK // grid.size
+        return [(lo, min(lo + step, 2 * grid.size)) for lo in range(0, 2 * grid.size, step)]
+
+    def _kept(self, grid):
+        return moments._kept_geometry(grid.tobytes(), moments._K_BLOCK // grid.size)
+
+    def test_limit_moments_grid_keeps_its_hits(self, builds):
+        grid = make_grid(512, extra=(0.4,))
+        got = moments.second_moment_iterates(14, grid).values
+        assert moments._kept_geometry.cache_info()[:2] == (13, 1)
+        assert builds == self._blocks(grid) and len(builds) == 9
+        assert len(self._kept(grid)) == 9
+        assert np.array_equal(got, _reference_iterates(14, grid))
+
+    def test_grid_of_more_than_16_blocks_hits(self, builds):
         grid = make_grid(1000)
         got = moments.second_moment_iterates(3, grid).values
-        assert c.cache_info()[:2] == (62, 31)  # all 31 blocks fit; the old LRU read 0 of 93
+        assert moments._kept_geometry.cache_info()[:2] == (2, 1)
+        assert builds == self._blocks(grid) and len(builds) == 31
+        assert len(self._kept(grid)) == 31
         assert np.array_equal(got, _reference_iterates(3, grid))
 
-    def test_blocks_beyond_the_budget_are_built_each_time(self, cache):
+    def test_blocks_beyond_the_budget_are_built_each_time(self, builds, monkeypatch):
         grid = make_grid(1000)
-        step = moments._K_BLOCK // grid.size
-        blocks = len(range(0, 2 * grid.size, step))
-        one = moments._k_geometry.__wrapped__(grid.tobytes(), 0, step)
-        c = cache(3 * sum(v.nbytes for v in one if isinstance(v, np.ndarray)))
-        got = moments.second_moment_iterates(2, grid).values
-        info = c.cache_info()
-        assert 1 <= info.currsize < blocks and info.nbytes <= info.maxsize
-        assert info.hits == info.currsize and info.misses == 2 * blocks - info.hits
-        assert np.array_equal(got, _reference_iterates(2, grid))
+        blocks = self._blocks(grid)
+        first = [moments._k_geometry(grid.tobytes(), lo, hi) for lo, hi in blocks[:3]]
+        monkeypatch.setattr(moments, "_K_CACHE_BYTES", sum(map(_nbytes, first)))
+        del builds[:]
+        got = moments.second_moment_iterates(3, grid).values
+        # the first call builds the fourth block twice: once to find it does not fit
+        rest = blocks[3:]
+        assert builds == blocks[:4] + rest + rest + rest
+        assert len(self._kept(grid)) == 3
+        assert np.array_equal(got, _reference_iterates(3, grid))
 
-    def test_other_grids_make_room(self, cache):
-        c = cache(moments._K_CACHE_BYTES)
+    def test_switching_grids_rebuilds(self, builds):
         small, large = make_grid(512, extra=(0.4,)), make_grid(1000)
-        moments.second_moment_iterates(2, small)
-        assert c.cache_info().currsize == 9
-        moments.second_moment_iterates(2, large)
-        # the large grid's 31 blocks take nearly all of the budget: the
-        # small grid's blocks leave, oldest first, only as far as needed
-        kept = c.cache_info().currsize - 31
-        assert 0 < kept < 9 and c.cache_info().nbytes <= c.cache_info().maxsize
-        hits = c.cache_info().hits
-        moments.second_moment_iterates(1, large)
-        assert c.cache_info().hits == hits + 31
-        moments.second_moment_iterates(1, small)
-        assert c.cache_info().hits == hits + 31 + kept
-
-    def test_limit_moments_grid_keeps_its_hits(self, cache):
-        c = cache(moments._K_CACHE_BYTES)
-        moments.second_moment_iterates(14, make_grid(512, extra=(0.4,)))
-        assert c.cache_info()[:2] == (13 * 9, 9)
-        assert c.cache_info().currsize == 9
+        for grid in (small, large, small):
+            del builds[:]
+            got = moments.second_moment_iterates(2, grid).values
+            assert builds == self._blocks(grid)
+            assert np.array_equal(got, _reference_iterates(2, grid))
+        assert moments._kept_geometry.cache_info()[:2] == (3, 3)

@@ -332,12 +332,13 @@ class TestGeometryFootprint:
     def test_fourteenth_iterate_peak(self):
         from pmquad import moments
 
-        moments._k_geometry.cache_clear()  # the blocks are built inside the trace
+        moments._kept_geometry.cache_clear()  # the blocks are built inside the trace
         tracemalloc.start()
         try:
             second_moment_iterates(14, self._grid())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert moments._k_geometry.cache_info().currsize == 9
+        g = self._grid()
+        assert len(moments._kept_geometry(g.tobytes(), moments._K_BLOCK // g.size)) == 9
         assert peak < 10 * 2**20

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import os
 import pkgutil
@@ -96,9 +97,10 @@ def test_cli_keeps_openblas_to_one_thread_unless_set(preset, want):
 @pytest.mark.parametrize("name", MODULES)
 def test_module_caches_clear_without_arguments(name):
     # a benchmark or test may reset state by calling cache_clear() on every
-    # module attribute that has one, as on an lru_cache
+    # module attribute that has one, so each must be an lru_cache
     mod = importlib.import_module(name)
     caches = [f for f in vars(mod).values() if callable(getattr(f, "cache_clear", None))]
+    assert [f for f in caches if type(f) is not type(functools.lru_cache(len))] == []
     for f in caches:
         f.cache_clear()
     assert name != "pmquad.moments" or caches

@@ -182,6 +182,26 @@ class TestCoordinateValidation:
         with pytest.raises(ValueError):
             fn(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("n", [0, 2, 200])
+    @pytest.mark.parametrize("root_axis", [None, "v", "h"], ids=["quad", "kd-v", "kd-h"])
+    def test_bad_point_refused_at_every_size(self, root_axis, n):
+        # n good points, then one bad one: alone, in the head, or in a block
+        def fn(x, y):
+            xs, ys = np.append(good_x, x), np.append(good_y, y)
+            if root_axis is None:
+                return quadtree.line_cost(xs, ys, 0.25)
+            return kdtree.line_cost(xs, ys, 0.25, root_axis)
+
+        rng = np.random.default_rng([2014, n])
+        good_x, good_y = rng.random(n), rng.random(n)
+        for x, y in [(0.5, -1e-9), (0.5, 1.0 + 1e-9), (0.5, np.nan), (0.5, np.inf),
+                     (1.0 + 1e-9, 0.5), (np.nan, 0.5), (np.inf, 0.5), (np.nan, np.nan)]:
+            with pytest.raises(ValueError, match=r"^coordinates must have y in \[0, 1\]"):
+                fn(x, y)
+        # x below 0 is inside the root cell (the coupling's extended box)
+        assert fn(-0.5, 0.5) == fn(0.0, 0.5) >= 1
+        assert fn(-np.inf, 0.0) >= 1
+
     def test_y_outside_unit_interval_rejected_on_the_block_path(self):
         ys = np.linspace(0.0, 1.0, SEQ + 1)
         xs = np.linspace(0.0, 1.0, SEQ + 1)
