@@ -482,10 +482,6 @@ def _reference_iterates(n, grid):
     return f.values
 
 
-def _nbytes(geo):
-    return sum(v.nbytes for v in geo if isinstance(v, np.ndarray))
-
-
 class TestGeometryCache:
     """apply_K keeps one grid's geometry: the longest prefix of its blocks
     that fits the byte budget.  Iterations after the first reuse those
@@ -534,7 +530,8 @@ class TestGeometryCache:
         grid = make_grid(1000)
         blocks = self._blocks(grid)
         first = [moments._k_geometry(grid.tobytes(), lo, hi) for lo, hi in blocks[:3]]
-        monkeypatch.setattr(moments, "_K_CACHE_BYTES", sum(map(_nbytes, first)))
+        budget = sum(v.nbytes for geo in first for v in geo if isinstance(v, np.ndarray))
+        monkeypatch.setattr(moments, "_K_CACHE_BYTES", budget)
         del builds[:]
         got = moments.second_moment_iterates(3, grid).values
         # the first call builds the fourth block twice: once to find it does not fit
