@@ -68,24 +68,29 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _threads(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _integer_at_least(least: int):
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {value!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {n}")
+        return n
+
+    return parse
 
 
-def _seed(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+_threads, _seed = _integer_at_least(1), _integer_at_least(0)
 
 
 def _tol_scale(value: str) -> float:
-    x = float(value)
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
     if not 0.0 < x < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value!r}")
     return x
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 from .errors import AxisMismatchError
 from .geom import StepProfile
 from .quadtree import (
-    _KD_H,
-    _KD_V,
     Tree,
     _build,
     _check_query,
     _profile_xy,
+    _rule,
     _search,
     _slice_cost,
 )
@@ -83,12 +82,6 @@ def vertical_decomposition_check(tree: Tree, s: float) -> bool:
         raise AxisMismatchError("vertical_decomposition_check needs a vertical root axis")
     side = tree.root.children[2 if s >= tree.root.point.x else 0]
     return cost_parallel(tree, s) == 1 + _search(side, s)
-
-
-def _rule(root_axis: str) -> int:
-    if root_axis not in (VERTICAL, HORIZONTAL):
-        raise ValueError(f"root_axis must be 'v' or 'h', got {root_axis!r}")
-    return _KD_V if root_axis == VERTICAL else _KD_H
 
 
 def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:

@@ -125,13 +125,13 @@ class TestLineCostsMatchThePerStreamLoop:
             calls.append(list(sizes))
             return _batch_line_costs(xs, ys, sizes, s, rule)
 
-        monkeypatch.setattr(harness, "_BATCH_POINTS", 700)
+        monkeypatch.setattr(quadtree, "_BATCH_POINTS", 700)
         monkeypatch.setattr(quadtree, "_batch_line_costs", spy)
         got = _line_costs((5, 1), 3, 43, **kw)
         assert got.dtype == np.int64
         assert got.tolist() == reference_line_costs((5, 1), 3, 43, **kw).tolist()
         assert all(sum(c) <= 700 or len(c) == 1 for c in calls)
-        assert all(max(c, default=0) <= harness._BATCH_MAX for c in calls)
+        assert all(max(c, default=0) <= quadtree._BATCH_MAX for c in calls)
         if kw.get("n") == 64:
             assert len(calls) == 4  # 10 trees per call
         if kw.get("n") == 1024:
@@ -155,7 +155,7 @@ def test_block_memory_is_bounded_by_the_batch_budget():
     # one 256-stream block of the largest batched trees: 16 calls of 2^14 points
     tracemalloc.start()
     try:
-        _line_costs((3,), 0, 256, harness._BATCH_MAX)
+        _line_costs((3,), 0, 256, quadtree._BATCH_MAX)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """--seed has one domain, the non-negative integers, for every command and
 wherever it is given: a negative seed is refused while the arguments are
-parsed (exit 2), with one error line that names the flag."""
+parsed (exit 2), with one error line that names the flag.  So is a value
+of --seed, --threads or --tol-scale that is not a number."""
 
 import subprocess
 import sys
@@ -52,3 +53,31 @@ def test_seed_zero_and_large_seeds_still_run():
                                "--n", "5"], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith("#")
+
+
+# a value that is not a number is refused with what the flag expects, not
+# with the name of the function that parses it
+BAD_VALUES = [("--seed", "must be an integer >= 0"), ("--threads", "must be an integer >= 1"),
+              ("--tol-scale", "must be a finite number > 0")]
+WHERE = [(flag, want, where) for flag, want in BAD_VALUES
+         for where in ("global", "subcommand", "config") if (flag, where) != ("--tol-scale", "global")]
+
+
+@pytest.mark.parametrize("flag, want, where", WHERE, ids=[f"{w}: {f}" for f, _, w in WHERE])
+def test_value_that_is_not_a_number_names_what_is_expected(tmp_path, flag, want, where):
+    command = COMMANDS[-1] + ["--check"]
+    if where == "global":
+        argv = [flag, "x", *command]
+    elif where == "subcommand":
+        argv = [*command, flag, "x"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = x\n")
+        argv = ["--config", str(cfg), *command]
+    proc = subprocess.run([sys.executable, "-m", "pmquad.cli", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    prog = "pmquad experiment" if where == "subcommand" or flag == "--tol-scale" else "pmquad"
+    assert errors == [f"{prog}: error: argument {flag}: {want}, got 'x'"]

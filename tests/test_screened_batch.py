@@ -1,6 +1,6 @@
 """Large sampled trees: an exact head, one slice screen, survivors batched.
 
-``harness._Batch`` counts a tree of more than ``harness._BATCH_MAX`` points
+``quadtree._sampled_costs`` counts a tree of more than ``_BATCH_MAX`` points
 as ``quadtree._screen`` splits it: the first ``HEAD`` points get the exact
 per-point update, the later points inside the slices the head leaves are
 grouped by slice, and ``_batch_line_costs`` counts each slice as a tree of
@@ -17,11 +17,12 @@ import pytest
 
 from pmquad import harness, kdtree, quadtree
 from pmquad.cli import main
-from pmquad.harness import ExperimentSpec, _Batch, _streams
-from pmquad.quadtree import _KD_H, _KD_V, _QUAD, HEAD, _batch_line_costs, _screen, _slice_cost
+from pmquad.harness import ExperimentSpec, _streams
+from pmquad.quadtree import (_KD_H, _KD_V, _QUAD, HEAD, _batch_line_costs, _sampled_costs, _screen,
+                             _slice_cost)
 
 RULES = {_QUAD: None, _KD_V: "v", _KD_H: "h"}
-BIG = harness._BATCH_MAX
+BIG = quadtree._BATCH_MAX
 SIZES = (HEAD - 1, HEAD, HEAD + 1, BIG - 1, BIG, BIG + 1, 2000, 8000)
 
 
@@ -37,13 +38,8 @@ def _oracle_costs(xs, ys, queries, axis):
 
 
 def _batched(trees, rule):
-    """Each (xs, ys, s) tree's cost through one _Batch."""
-    out = np.full(len(trees), -1, dtype=np.int64)
-    batch = _Batch(out, rule)
-    for k, (xs, ys, s) in enumerate(trees):
-        batch.add(k, xs, ys, s)
-    batch.flush()
-    return out.tolist()
+    """Each (xs, ys, s) tree's cost through one _sampled_costs call."""
+    return _sampled_costs(iter(trees), RULES[rule]).tolist()
 
 
 def _tree(n, seed, negative=False):
@@ -149,7 +145,7 @@ class TestBatchBudget:
             calls.append((rule, list(sizes)))
             return _batch_line_costs(xs, ys, sizes, s, rule)
 
-        monkeypatch.setattr(harness, "_BATCH_POINTS", 700)
+        monkeypatch.setattr(quadtree, "_BATCH_POINTS", 700)
         monkeypatch.setattr(quadtree, "_batch_line_costs", spy)
         got = harness._line_costs((8, 2), 5, 45, **kw)
         assert got.tolist() == reference_line_costs((8, 2), 5, 45, **kw)
