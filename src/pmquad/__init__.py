@@ -8,4 +8,6 @@ approximants), ``harness`` (seeded Monte Carlo experiments), ``cli``.
 
 from .specfun import ConstantSet, beta_exponent, constants, h
 
+__version__ = "0.1.0"
+
 __all__ = ["ConstantSet", "beta_exponent", "constants", "h"]

@@ -7,8 +7,9 @@ subcommand): --seed, --threads, --out, --format, --config.
 Every command with --replications (experiment, simulate-cost,
 simulate-limit --replications and diagnostics) runs its replications in blocks
 of 256 on the harness's block scheduler (`harness.run_blocks`): --threads N
-(N >= 1) runs the blocks on at most N worker processes, and on no more than
-there are blocks or usable CPUs.  Output bytes do not depend on N.
+(N >= 1) runs the blocks on at most N processes, this one and forked
+children, and on no more than there are blocks or usable CPUs.  Output bytes
+do not depend on N.  --replications above 2**24 exits 3 before any block runs.
 
 Exit codes: 0 success, 1 stdout closed early (e.g. by `head`; no traceback),
 2 invalid arguments (including a command that yields no rows and an --out
@@ -98,9 +99,10 @@ def _add_global_args(p: argparse.ArgumentParser, suppress: bool) -> None:
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     p.add_argument("--seed", type=_seed, default=d(0), help="master seed, >= 0 (default 0)")
     p.add_argument("--threads", type=_threads, default=d(1),
-                   help="worker processes for commands with --replications "
-                        "(default 1; at most one per block of 256 replications and per "
-                        "usable CPU; output is byte-identical for any value)")
+                   help="processes for commands with --replications, this one and "
+                        "forked workers (default 1; at most one per block of 256 "
+                        "replications and per usable CPU; output is byte-identical for "
+                        "any value)")
     p.add_argument("--out", default=d("-"), help="output path, '-' for stdout (default)")
     p.add_argument("--format", choices=("csv", "plot"), default=d("csv"),
                    help="csv or gnuplot-style plot data (default csv)")

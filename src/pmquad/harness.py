@@ -4,9 +4,10 @@ Each replication r of an experiment draws from its own generator seeded by
 the pair (seed, r) (PCG64 behind numpy's default generator), so results do
 not depend on how replications are scheduled; the generators of one block
 are seeded together (`_streams`).  Replications are computed in
-fixed-size index blocks; any worker pool may run blocks out of order, but
-aggregation always consumes them in index order with exactly rounded
-summation, making output bytes independent of the worker count.
+fixed-size index blocks, shared out between the calling process and forked
+children (`run_blocks`); the parts are put back in index order and
+aggregation sums them with exactly rounded summation, making output bytes
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 import operator
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,9 @@ __all__ = [
 ]
 
 _BLOCK = 256  # fixed scheduling unit; never derived from the worker count
+# Replications per run; the CLI keeps every row, about 114-177 B each, so the
+# cap bounds a run near 2-3 GB.
+_MAX_REPLICATIONS = 1 << 24
 _GENERATOR_NAME = "pcg64"
 
 
@@ -657,30 +663,77 @@ def _block_worker(spec, lo, hi):
     return block_fn(spec, lo, hi)
 
 
-def _call(block):
-    fn, params, lo, hi = block
-    return fn(params, lo, hi)
+def _blocks(fn, params, reps: int, first: int, stride: int) -> list:
+    return [fn(params, lo, min(lo + _BLOCK, reps)) for lo in range(first, reps, stride)]
+
+
+def _fork_share(fn, params, reps: int, first: int, stride: int) -> tuple:
+    """(pid, read end of a pipe) of a forked child that pickles into the pipe
+    ``(True, parts)`` of its blocks, or ``(False, exception)`` they raised."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:  # the child never returns into its caller's stack
+        os.close(r)
+        try:
+            result = (True, _blocks(fn, params, reps, first, stride))
+        except BaseException as exc:
+            result = (False, exc)
+        with open(w, "wb") as fh:
+            pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
     """[fn(params, lo, hi) for each block [lo, hi) of range(reps)], in index
-    order.  ``fn`` must be a module-level function (it is pickled by name).
+    order.  Only the parts ``fn`` returns are pickled, never ``fn`` itself.
 
     The blocks are the fixed ``_BLOCK``-wide index ranges whatever the worker
-    count.  With ``threads > 1`` they run on a process pool of at most
-    ``threads`` workers, and no more than there are blocks or usable CPUs.
+    count.  With W = min(threads, blocks, usable CPUs) > 1 the calling process
+    forks W - 1 children and runs its own share: process w runs every W-th
+    block from block w.  A child's exception is raised again here; a child
+    that sends no result raises RuntimeError; and every child is killed and
+    reaped before an exception leaves this function.  Without ``os.fork`` the
+    blocks run in-process.  More than ``_MAX_REPLICATIONS`` raise
+    CapExceededError before any block runs.
     """
     if reps < 1:
         raise ValueError("replications must be >= 1")
-    blocks = [(fn, params, lo, min(lo + _BLOCK, reps)) for lo in range(0, reps, _BLOCK)]
+    if reps > _MAX_REPLICATIONS:
+        raise CapExceededError(f"{reps} replications exceed the cap of {_MAX_REPLICATIONS}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(blocks), cpus or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_call, blocks))
-    return [_call(b) for b in blocks]
+    workers = min(threads, -(-reps // _BLOCK), cpus or 1) if hasattr(os, "fork") else 1
+    stride = workers * _BLOCK
+    pids, fds = [], []  # children not yet reaped; read ends of their pipes
+    try:
+        for w in range(1, workers):
+            pid, r = _fork_share(fn, params, reps, w * _BLOCK, stride)
+            pids.append(pid)
+            fds.append(r)
+        shares = [_blocks(fn, params, reps, 0, stride)]
+        for r in fds:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pids[0], 0)[1]
+            pid = pids.pop(0)
+            if status or not data:
+                raise RuntimeError(f"worker {pid} sent no result (wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shares.append(value)
+    finally:
+        for r in fds:
+            os.close(r)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [shares[b % workers][b // workers] for b in range(-(-reps // _BLOCK))]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> Table:

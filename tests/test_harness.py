@@ -1,7 +1,7 @@
-import concurrent.futures
 import io
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -136,34 +136,23 @@ class TestBlockStreams:
             harness._streams((3,), -1, 2)
 
 
-class _FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-    made = []
-
-    def __init__(self, max_workers):
-        _FakePool.made.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
 def _block_ids(params, lo, hi):
     return [(params, r) for r in range(lo, hi)]
 
 
 class TestRunBlocks:
     @pytest.fixture
-    def fake_pool(self, monkeypatch):
-        _FakePool.made = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
-        return _FakePool.made
+    def forks(self, monkeypatch):
+        """The pids os.fork returns to the caller, one per forked worker."""
+        made, fork = [], os.fork
+
+        def counting_fork():
+            pid = fork()
+            made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return made
 
     @pytest.mark.parametrize(
         "threads, reps, cpus, workers",
@@ -176,39 +165,105 @@ class TestRunBlocks:
             (8, 2000, 1, None),
         ],
     )
-    def test_pool_size(self, fake_pool, monkeypatch, threads, reps, cpus, workers):
+    def test_pool_size(self, forks, monkeypatch, threads, reps, cpus, workers):
+        # the caller is one of the workers and forks the others
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         parts = harness.run_blocks(_block_ids, "p", reps, threads)
-        assert fake_pool == ([] if workers is None else [workers])
+        assert len(forks) == (0 if workers is None else workers - 1)
         assert [len(p) for p in parts] == [min(256, reps - lo) for lo in range(0, reps, 256)]
         assert [x for p in parts for x in p] == [("p", r) for r in range(reps)]
 
-    def test_experiment_pool_size(self, fake_pool, monkeypatch):
+    def test_experiment_pool_size(self, forks, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         spec = ExperimentSpec(kind="poisson-mean", t=20.0, replications=700, seed=2)
         assert run_experiment(spec, threads=64).rows == run_experiment(spec).rows
-        assert fake_pool == [3]
+        assert len(forks) == 3 - 1
 
-    def test_real_pool_matches_serial_bytes(self, monkeypatch):
-        # two usable CPUs whatever the host shows, so threads=2 forks a real
-        # 2-worker pool; both sizes run the batched kernel in it
-        made = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
+    def test_real_pool_matches_serial_bytes(self, forks, monkeypatch):
+        # two usable CPUs whatever the host shows, so threads=2 forks one
+        # worker beside the caller; both sizes run the batched kernel in it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         spec = ExperimentSpec(
             kind="variance-uniform-query", sizes=(120, 600), replications=600, seed=7
         )
         serial, pooled = io.StringIO(), io.StringIO()
         emit_csv(run_experiment(spec, threads=1), serial)
         emit_csv(run_experiment(spec, threads=2), pooled)
-        assert made == [2]
+        assert len(forks) == 2 - 1
         assert pooled.getvalue() == serial.getvalue()
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_block_fn_need_not_pickle(self, two_cpus, forks):
+        offset = 5
+        parts = harness.run_blocks(lambda p, lo, hi: list(range(lo + offset, hi + offset)),
+                                   None, 600, 2)
+        assert len(forks) == 1
+        assert [x for p in parts for x in p] == list(range(5, 605))
+
+    def test_child_error_is_raised_again(self, two_cpus):
+        def block(caller, lo, hi):
+            if os.getpid() != caller:
+                raise CapExceededError(f"block {lo} refused")
+            return [lo]
+
+        with pytest.raises(CapExceededError, match=r"^block 256 refused$"):
+            harness.run_blocks(block, os.getpid(), 600, 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_caller_error_kills_and_reaps_every_child(self, monkeypatch, forks, error):
+        # children that were waited for, not killed, would take 30 s
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+        def block(caller, lo, hi):
+            if os.getpid() != caller:
+                time.sleep(30)
+            raise error("caller's block")
+
+        t0 = time.perf_counter()
+        with pytest.raises(error, match="caller's block"):
+            harness.run_blocks(block, os.getpid(), 3 * 256, 3)
+        assert time.perf_counter() - t0 < 20
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_result_raises(self, two_cpus, forks):
+        def block(caller, lo, hi):
+            if os.getpid() != caller:
+                os._exit(9)
+            return [lo]
+
+        with pytest.raises(RuntimeError) as exc:
+            harness.run_blocks(block, os.getpid(), 600, 2)
+        (pid,) = forks
+        assert str(exc.value) == f"worker {pid} sent no result (wait status {9 << 8})"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_runs_in_process(self, two_cpus, monkeypatch):
+        spec = ExperimentSpec(kind="poisson-mean", t=20.0, replications=700, seed=2)
+        forked = harness.run_blocks(harness._block_worker, spec, 700, 2)
+        monkeypatch.delattr(os, "fork")
+        pids = []
+
+        def block(params, lo, hi):
+            pids.append(os.getpid())
+            return harness._block_worker(params, lo, hi)
+
+        alone = harness.run_blocks(block, spec, 700, 2)
+        assert pids == [os.getpid()] * 3
+        assert np.concatenate(alone).tobytes() == np.concatenate(forked).tobytes()
+
+    def test_replication_cap_before_any_block(self):
+        cap = harness._MAX_REPLICATIONS
+        assert cap == 2**24
+        with pytest.raises(CapExceededError, match=f"^{cap + 1} replications exceed the cap of {cap}$"):
+            harness.run_blocks(lambda *a: pytest.fail("a block ran"), None, cap + 1, 2)
 
     @pytest.mark.parametrize("reps", [0, -5])
     def test_no_replications(self, reps):

@@ -7,6 +7,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -129,3 +130,15 @@ def test_module_caches_clear_without_arguments(name):
     for f in caches:
         f.cache_clear()
     assert name != "pmquad.moments" or caches
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert pmquad.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_no_module_uses_an_executor_pool():
+    # replicated blocks run on harness.run_blocks' own forked workers
+    assert [m for m in MODULES if "concurrent" in inspect.getsource(importlib.import_module(m))] == []
