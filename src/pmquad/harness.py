@@ -707,7 +707,8 @@ def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
     if reps > _MAX_REPLICATIONS:
         raise CapExceededError(f"{reps} replications exceed the cap of {_MAX_REPLICATIONS}")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, -(-reps // _BLOCK), cpus or 1) if hasattr(os, "fork") else 1
+    blocks = -(-reps // _BLOCK)
+    workers = min(threads, blocks, cpus or 1) if hasattr(os, "fork") else 1
     stride = workers * _BLOCK
     pids, fds = [], []  # children not yet reaped; read ends of their pipes
     try:
@@ -733,7 +734,7 @@ def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [shares[b % workers][b // workers] for b in range(-(-reps // _BLOCK))]
+    return [shares[b % workers][b // workers] for b in range(blocks)]
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> Table:
