@@ -669,7 +669,15 @@ def _blocks(fn, params, reps: int, first: int, stride: int) -> list:
 
 def _fork_share(fn, params, reps: int, first: int, stride: int) -> tuple:
     """(pid, read end of a pipe) of a forked child that pickles into the pipe
-    ``(True, parts)`` of its blocks, or ``(False, exception)`` they raised."""
+    ``(True, parts)`` of its blocks, or ``(False, exception)`` they raised.
+    A child whose caller was killed stops before its next block."""
+    caller = os.getpid()
+
+    def guarded(params, lo, hi):
+        if os.getppid() != caller:
+            raise RuntimeError(f"caller {caller} has exited")
+        return fn(params, lo, hi)
+
     r, w = os.pipe()
     pid = os.fork()
     if pid:
@@ -679,7 +687,7 @@ def _fork_share(fn, params, reps: int, first: int, stride: int) -> tuple:
     try:  # the child never returns into its caller's stack
         os.close(r)
         try:
-            result = (True, _blocks(fn, params, reps, first, stride))
+            result = (True, _blocks(guarded, params, reps, first, stride))
         except BaseException as exc:
             result = (False, exc)
         with open(w, "wb") as fh:
@@ -697,8 +705,9 @@ def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
     count.  With W = min(threads, blocks, usable CPUs) > 1 the calling process
     forks W - 1 children and runs its own share: process w runs every W-th
     block from block w.  A child's exception is raised again here; a child
-    that sends no result raises RuntimeError; and every child is killed and
-    reaped before an exception leaves this function.  Without ``os.fork`` the
+    that sends no result raises RuntimeError; every child is killed and
+    reaped before an exception leaves this function; and a child whose
+    caller was killed stops before its next block.  Without ``os.fork`` the
     blocks run in-process.  More than ``_MAX_REPLICATIONS`` raise
     CapExceededError before any block runs.
     """

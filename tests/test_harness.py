@@ -1,6 +1,9 @@
 import io
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -244,6 +247,33 @@ class TestRunBlocks:
         assert str(exc.value) == f"worker {pid} sent no result (wait status {9 << 8})"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_child_of_a_killed_caller_stops(self, tmp_path):
+        # the caller dies by SIGKILL, so no finally of its own can stop the
+        # child; the child notices at its next block boundary
+        log = tmp_path / "blocks.txt"
+        code = (
+            "import os, signal, sys, time\n"
+            "from pmquad import harness\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "def block(caller, lo, hi):\n"
+            "    if os.getpid() == caller:\n"
+            "        time.sleep(0.5)\n"
+            "        os.kill(caller, signal.SIGKILL)\n"
+            "    with open(sys.argv[1], 'a') as fh:\n"
+            "        fh.write(f'{lo}\\n')\n"
+            "    time.sleep(0.2)\n"
+            "    return [lo]\n"
+            "harness.run_blocks(block, os.getpid(), 40 * 256, 2)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(log)], timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        time.sleep(1.0)
+        ran = log.read_text().split()
+        time.sleep(1.0)
+        assert log.read_text().split() == ran
+        # the child's first blocks only, of the twenty it was given
+        assert ran and all(int(lo) // 256 % 2 == 1 for lo in ran) and len(ran) <= 5
 
     def test_without_fork_runs_in_process(self, two_cpus, monkeypatch):
         spec = ExperimentSpec(kind="poisson-mean", t=20.0, replications=700, seed=2)
