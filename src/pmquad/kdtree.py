@@ -1,27 +1,18 @@
-"""2-d trees (alternating vertical/horizontal splits) and both cost flavors.
+"""2-d trees (alternating vertical/horizontal splits): node-free cost and profile.
 
 The query line is always vertical; the flavor of the partial-match cost is
 set by the root split axis: ``cost_parallel`` for a vertical root (split
-parallel to the line) and ``cost_perp`` for a horizontal root.  The trees
-are made of ``quadtree.Node``s, the one linked node type of both oracle
-trees, here with a split axis that alternates with depth.  One tree type
-serves both flavors, which keeps the one-level decomposition identities
-directly checkable on real trees.
+parallel to the line) and ``cost_perp`` for a horizontal root.  Those, the
+linked-tree builder ``build_kd`` and the one-level decomposition identities
+are oracles in ``geom``, re-exported here.  ``line_cost`` and ``profile_xy``
+are the quadtree's kernels under the 2-d tree split rule.
 """
 
 from __future__ import annotations
 
-from .errors import AxisMismatchError
-from .geom import StepProfile
-from .quadtree import (
-    Tree,
-    _build,
-    _check_query,
-    _profile_xy,
-    _rule,
-    _search,
-    _slice_cost,
-)
+from .geom import (HORIZONTAL, VERTICAL, StepProfile, _check_query, build_kd, cost_parallel,
+                   cost_perp, decomposition_check, vertical_decomposition_check)
+from .quadtree import _profile_xy, _rule, _slice_cost
 
 __all__ = [
     "VERTICAL",
@@ -34,54 +25,6 @@ __all__ = [
     "vertical_decomposition_check",
     "line_cost",
 ]
-
-VERTICAL = "v"  # splits x: the segment through the point is vertical
-HORIZONTAL = "h"
-
-
-def build_kd(points, root_axis: str = VERTICAL) -> Tree:
-    """Insert points in index order; the split axis alternates with depth."""
-    if root_axis not in (VERTICAL, HORIZONTAL):
-        raise ValueError(f"root_axis must be 'v' or 'h', got {root_axis!r}")
-    return _build(points, root_axis == VERTICAL, root_axis == HORIZONTAL, root_axis)
-
-
-def cost_parallel(tree: Tree, s: float) -> int:
-    """Partial-match cost when the root split is parallel to the query line."""
-    _check_query(s)
-    if tree.root_axis != VERTICAL:
-        raise AxisMismatchError("cost_parallel needs a vertical root axis")
-    return _search(tree.root, s)
-
-
-def cost_perp(tree: Tree, s: float) -> int:
-    """Partial-match cost when the root split is perpendicular to the query line."""
-    _check_query(s)
-    if tree.root_axis != HORIZONTAL:
-        raise AxisMismatchError("cost_perp needs a horizontal root axis")
-    return _search(tree.root, s)
-
-
-def decomposition_check(tree: Tree, s: float) -> bool:
-    """One-level identity at a horizontal root: the perpendicular cost equals
-    1 + the parallel costs of the two strip subtrees (their own cells)."""
-    if tree.root is None:
-        raise ValueError("decomposition_check needs a nonempty tree")
-    if tree.root_axis != HORIZONTAL:
-        raise AxisMismatchError("decomposition_check needs a horizontal root axis")
-    total = cost_perp(tree, s)
-    return total == 1 + sum(_search(child, s) for child in tree.root.children)
-
-
-def vertical_decomposition_check(tree: Tree, s: float) -> bool:
-    """One-level identity at a vertical root: only the side containing the
-    line is searched, and that subtree has a perpendicular (horizontal) root."""
-    if tree.root is None:
-        raise ValueError("vertical_decomposition_check needs a nonempty tree")
-    if tree.root_axis != VERTICAL:
-        raise AxisMismatchError("vertical_decomposition_check needs a vertical root axis")
-    side = tree.root.children[2 if s >= tree.root.point.x else 0]
-    return cost_parallel(tree, s) == 1 + _search(side, s)
 
 
 def line_cost(xs, ys, s: float, root_axis: str = VERTICAL) -> int:

@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .errors import CapExceededError
-from .quadtree import _QUAD, Tree, _check_query, _node_extents
+from .geom import _check_query, fill_up_level
+from .quadtree import _QUAD, _node_extents
 from .specfun import beta_exponent
 
 __all__ = [
@@ -463,14 +464,6 @@ def diagnostics_many(n: int, master_seed: int, reps: int, start: int = 0):
     """(W_n, L_n) arrays across independent environments with indices
     start .. start+reps-1."""
     return _diagnostics(n, _env_seeds(master_seed, start, reps))
-
-
-def fill_up_level(tree: Tree) -> int:
-    """Largest n such that every potential node above depth n exists."""
-    counts = {}
-    for _, depth in tree.nodes_with_depth():
-        counts[depth] = counts.get(depth, 0) + 1
-    return _full_levels([counts[d] for d in range(len(counts))])
 
 
 def fill_up_level_xy(xs, ys) -> int:

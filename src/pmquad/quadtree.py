@@ -3,7 +3,7 @@
 The cost of a partial match at the vertical line x = s equals the number of
 tree nodes whose cell meets the line, which is also the number of nodes
 visited by the recursive search and the number of horizontal split segments
-crossing the line (the latter two are kept as independently coded oracles).
+crossing the line (the latter two are independent oracles in ``geom``).
 ``line_cost`` computes the same count straight from a point sequence without
 materializing nodes, which is what makes desk-scale Monte Carlo cheap.  It
 shares one kernel with ``kdtree.line_cost``; a vectorized block filter lets
@@ -25,10 +25,9 @@ extent is a pair of ranks; +1 at every left rank and -1 at every right rank,
 counted in sorted-x order and summed, is the step function, with no sort of
 the extents.
 
-The reference (oracle) trees are linked ``Node``s: one tree type with split
-axis flags serves the quadtree (``build``, whose nodes split both axes) and
-the 2-d tree (``kdtree.build_kd``, whose nodes split one axis, their children
-the other), and shares no code with the array kernels it checks."""
+The reference (oracle) trees, ``Node``, ``Tree``, ``build``, ``cost``,
+``horizontal_crossings``, ``profile``, ``supremum`` and ``subtree_sizes``,
+live in ``geom``, which imports no kernel; they are re-exported here."""
 
 from __future__ import annotations
 
@@ -38,8 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceededError, DuplicateCoordinateError
-from .geom import Cell, Point2, StepProfile
+from .errors import CapExceededError
+from .geom import (Node, StepProfile, Tree, _check_general_position, _check_query, _points,
+                   build, cost, horizontal_crossings, profile, subtree_sizes, supremum)
 
 __all__ = [
     "Node",
@@ -64,96 +64,6 @@ __all__ = [
 _MAX_POINTS = 1 << 24
 
 
-class Node:
-    """A stored point, its cell, the axes it splits and four child slots: a
-    point goes to slot 2 (x >= px) + (y >= py), taken over the split axes, so
-    a quadtree's slots are bottom-left, top-left, bottom-right, top-right."""
-
-    __slots__ = ("point", "cell", "split_x", "split_y", "children")
-
-    def __init__(self, point: Point2, cell: Cell, split_x: bool, split_y: bool):
-        self.point = point
-        self.cell = cell
-        self.split_x = split_x
-        self.split_y = split_y
-        self.children = [None, None, None, None]
-
-    def child_cell(self, idx: int) -> Cell:
-        """The cell a child at slot idx occupies (whether or not it exists)."""
-        px, py = self.point.x, self.point.y
-        x0, x1, y0, y1 = self.cell.x0, self.cell.x1, self.cell.y0, self.cell.y1
-        if self.split_x:
-            x0, x1 = (x0, px) if idx < 2 else (px, x1)
-        if self.split_y:
-            y0, y1 = (y0, py) if idx % 2 == 0 else (py, y1)
-        return Cell(x0, x1, y0, y1)
-
-
-class Tree:
-    """Immutable-after-build tree; ``root`` is None for the empty tree and
-    ``root_axis`` None for a quadtree ('v' or 'h' for a 2-d tree)."""
-
-    __slots__ = ("root", "size", "root_axis")
-
-    def __init__(self, root, size: int, root_axis=None):
-        self.root = root
-        self.size = size
-        self.root_axis = root_axis
-
-    def nodes(self):
-        """All nodes, level by level from the root."""
-        return (node for node, _ in self.nodes_with_depth())
-
-    def nodes_with_depth(self):
-        level, d = [self.root] if self.root is not None else [], 0
-        while level:
-            for node in level:
-                yield node, d
-            level = [child for node in level for child in node.children if child is not None]
-            d += 1
-
-
-def _check_general_position(points) -> None:
-    xs, ys = set(), set()
-    for p in points:
-        if p.x in xs or p.y in ys:
-            raise DuplicateCoordinateError(
-                f"point {p.index} repeats a coordinate; inputs must be in general position"
-            )
-        xs.add(p.x)
-        ys.add(p.y)
-
-
-def _build(points, split_x: bool, split_y: bool, root_axis) -> Tree:
-    """Insert points in index order from the unit-square root, which splits
-    the given axes; a child splits its parent's axes swapped, which alternates
-    a 2-d tree's axis and leaves a quadtree's unchanged."""
-    points = list(points)
-    _check_general_position(points)
-    root = Node(points[0], Cell(0.0, 1.0, 0.0, 1.0), split_x, split_y) if points else None
-    for p in points[1:]:
-        node = root
-        while True:
-            q = node.point
-            idx = (2 if node.split_x and p.x >= q.x else 0) + (node.split_y and p.y >= q.y)
-            child = node.children[idx]
-            if child is None:
-                node.children[idx] = Node(p, node.child_cell(idx), node.split_y, node.split_x)
-                break
-            node = child
-    return Tree(root, len(points), root_axis)
-
-
-def build(points) -> Tree:
-    """The quadtree: insert points in index order, every node splitting both axes."""
-    return _build(points, True, True, None)
-
-
-def _points(xs, ys) -> list:
-    """Point2s of the coordinate arrays xs, ys, indexed in arrival order."""
-    return list(map(Point2, xs.tolist(), ys.tolist(), range(len(xs))))
-
-
 def sample_uniform_xy(n: int, rng) -> tuple:
     """n i.i.d. uniform coordinates as (xs, ys) arrays; cheap form of sampling.
     Raises CapExceededError above ``_MAX_POINTS``, before allocating."""
@@ -169,93 +79,20 @@ def sample_uniform_points(n: int, rng):
     return _points(*sample_uniform_xy(n, rng))
 
 
-def _check_query(s) -> float | np.ndarray:
-    """``s``, one query position or an array of them, if every position lies
-    in [0, 1]: a float (``np.float64`` included) as it is, anything else as a
-    float array."""
-    if isinstance(s, float):  # the common scalar call, without an array
-        if 0.0 <= s <= 1.0:
-            return s
-        bad = s
-    else:
-        s = np.asarray(s, dtype=float)
-        ok = (s >= 0.0) & (s <= 1.0)
-        if ok.all():
-            return s
-        bad = s[~ok][0]
-    raise ValueError(f"query position must lie in [0, 1], got {float(bad)!r}")
-
-
-def _search(node, s: float) -> int:
-    """Nodes visited below (and including) ``node`` by the search at x = s.
-
-    At a node that splits x it enters only the children on the line's side
-    (slots 0 and 1 left of the split, 2 and 3 right of it), and a line at the
-    split goes right; any other node keeps every child in slots 0 and 1.
-    """
-    count = 0
-    stack = [node] if node is not None else []
-    while stack:
-        node = stack.pop()
-        count += 1
-        children = node.children
-        i = 2 if node.split_x and s >= node.point.x else 0
-        if children[i] is not None:
-            stack.append(children[i])
-        if children[i + 1] is not None:
-            stack.append(children[i + 1])
-    return count
-
-
-def cost(tree: Tree, s: float) -> int:
-    """Nodes visited by the partial-match search at x = s."""
-    _check_query(s)
-    return _search(tree.root, s)
-
-
-def horizontal_crossings(tree: Tree, s: float) -> int:
-    """Nodes whose cell meets x = s: in a quadtree, those whose horizontal
-    split segment crosses the line.
-
-    This is a whole-tree enumeration, an independent oracle for ``cost`` and
-    for the 2-d tree costs.
-    """
-    _check_query(s)
-    return sum(1 for node in tree.nodes() if node.cell.crosses_line(s))
-
-
-def profile(tree: Tree) -> StepProfile:
-    """The exact step function s -> cost(tree, s) of a quadtree or a 2-d
-    tree, from the node objects."""
-    cells = [node.cell for node in tree.nodes()]
-    return StepProfile.from_extents([c.x0 for c in cells], [c.x1 for c in cells])
-
-
-def supremum(tree: Tree):
-    """(max cost, first maximizing interval [lo, hi)) over all query positions."""
-    return profile(tree).max_segment()
-
-
-def subtree_sizes(tree: Tree):
-    """Node counts of the four root subtrees (BL, TL, BR, TR); they sum to n - 1."""
-    if tree.root is None:
-        raise ValueError("subtree_sizes needs a nonempty tree")
-    return tuple(sum(1 for _ in Tree(child, None).nodes()) for child in tree.root.children)
-
-
 def _check_finite(name: str, v: float) -> None:
     """Refuses a negative, NaN or infinite ``v`` as ``name``."""
     if not 0.0 <= v < math.inf:
         raise ValueError(f"{name} must be {'>= 0' if v < 0.0 else 'finite'}, got {v}")
 
 
-def _check_budget(t: float) -> None:
-    """Refuses a Poisson budget before any draw: a negative or non-finite one,
-    and one above 2**62, which numpy's Poisson cannot draw (its limit is just
-    below 2**63) and whose trees would be far above ``_MAX_POINTS``."""
-    _check_finite("intensity budget t", t)
+def _check_budget(t: float, name: str = "intensity budget t") -> None:
+    """Refuses a Poisson budget, called ``name``, before any draw: a negative
+    or non-finite one, and one above 2**62, which numpy's Poisson cannot draw
+    (its limit is just below 2**63) and whose trees would be far above
+    ``_MAX_POINTS``."""
+    _check_finite(name, t)
     if t > 2.0**62:
-        raise CapExceededError(f"intensity budget t = {t} exceeds 2**62; trees are capped "
+        raise CapExceededError(f"{name} = {t} exceeds 2**62; trees are capped "
                                f"at {_MAX_POINTS} points")
 
 
@@ -598,7 +435,7 @@ def sample_extension_xy(t: float, eps: float, rng) -> tuple:
     """
     _check_finite("eps", eps)
     _check_finite("intensity budget t", t)
-    _check_budget(t * (1.0 + eps))
+    _check_budget(t * (1.0 + eps), "intensity budget t (1 + eps)")
     xs, ys = sample_uniform_xy(int(rng.poisson(t * (1.0 + eps))), rng)
     return xs * (1.0 + eps) - eps, ys
 

@@ -564,7 +564,7 @@ class TestNonFiniteBudgetsAndEps:
              "cap exceeded: intensity budget t = 1e+300 exceeds 2**62; trees are capped "
              "at 16777216 points"),
             (["experiment", "--kind", "coupling", "--t", "10", "--eps", "1e300"], 3,
-             "cap exceeded: intensity budget t = 1e+301 exceeds 2**62; trees are capped "
+             "cap exceeded: intensity budget t (1 + eps) = 1e+301 exceeds 2**62; trees are capped "
              "at 16777216 points"),
         ],
         ids=["coupling-eps-nan", "coupling-eps-inf", "poisson-t-nan", "poisson-t-inf",

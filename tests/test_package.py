@@ -6,13 +6,12 @@ import os
 import pkgutil
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 import pmquad
-from pmquad import harness, kdtree, limitproc, quadtree
+from pmquad import geom, kdtree, limitproc, quadtree
 
 MODULES = ["pmquad"] + [f"pmquad.{m.name}" for m in pkgutil.iter_modules(pmquad.__path__)]
 
@@ -30,76 +29,36 @@ def test_public_helpers_exported(module, attr):
     assert attr in importlib.import_module(f"pmquad.{module}").__all__
 
 
-def _names(code):
-    """The global and attribute names that code and its nested code objects read."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _names(const)
-    return names
-
-
-def _methods(cls):
-    return [f for f in vars(cls).values() if isinstance(f, types.FunctionType)]
-
-
-ORACLE = [
-    *_methods(quadtree.Node),
-    *_methods(quadtree.Tree),
-    quadtree._build,
-    quadtree._search,
-    quadtree.build,
-    quadtree.cost,
-    quadtree.horizontal_crossings,
-    quadtree.profile,
-    quadtree.supremum,
-    quadtree.subtree_sizes,
-    kdtree.build_kd,
-    kdtree.cost_parallel,
-    kdtree.cost_perp,
-    kdtree.decomposition_check,
-    kdtree.vertical_decomposition_check,
-    limitproc.fill_up_level,
-]
-
-
-# The object trees are the oracle the array kernels are tested against, so
-# they may read no name that the tree modules define besides each other and
-# the helpers below, which check input or name an axis, a node or a tree.
-SHARED = {"_check_query", "_check_general_position", "_full_levels", "Node", "Tree",
-          "VERTICAL", "HORIZONTAL"}
-
-
-def _defined(mod):
-    """The names bound at the top level of the module's source, imports left out."""
+def _package_imports(mod):
+    """The pmquad modules that any import statement in mod's source names,
+    nested ones included."""
     out = set()
-    for node in ast.parse(inspect.getsource(mod)).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    for node in ast.walk(ast.parse(inspect.getsource(mod))):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names if a.name.split(".")[0] == "pmquad"}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["pmquad" if node.level else None, node.module]))
+            if base == "pmquad":  # from pmquad import x: x may be a module
+                out |= {f"pmquad.{a.name}" for a in node.names}
+            elif base.split(".")[0] == "pmquad":
+                out.add(base)
     return out
 
 
-FORBIDDEN = (set().union(*map(_defined, (quadtree, kdtree, limitproc, harness)))
-             - {fn.__name__ for fn in ORACLE} - SHARED)
+def test_oracles_import_no_kernel():
+    # geom holds the tree oracles the array kernels are tested against, so it
+    # may import nothing from the package but the exception types
+    assert {"pmquad.errors", "pmquad.geom"} <= _package_imports(quadtree)  # the check sees imports
+    assert _package_imports(geom) == {"pmquad.errors"}
 
 
-def test_forbidden_names_hold_the_kernels():
-    # a guard against a derivation that comes out empty
-    assert {"_slice_cost", "_batch_line_costs", "_sampled_costs", "_screen", "_node_extents",
-            "_profile_xy", "_rule", "_QUAD", "_KD_V", "_KD_H", "_AFTER", "HEAD", "_line_costs",
-            "line_cost", "profile_xy"} <= FORBIDDEN
-
-
-@pytest.mark.parametrize("fn", ORACLE, ids=lambda fn: fn.__qualname__)
-def test_oracle_independent_of_kernels(fn):
-    assert _names(fn.__code__) & FORBIDDEN == set()
-
-
-def test_names_sees_nested_code():
-    assert "_AFTER" in _names((lambda: [_AFTER for _ in ()]).__code__)  # noqa: F821
+def test_each_oracle_has_one_definition():
+    # the kernel modules re-export geom's oracles; a copy of one of them there
+    # would be an oracle that the import check does not cover
+    exported = {(m, name) for m in (quadtree, kdtree, limitproc) for name in m.__all__
+                if name in geom.__all__}
+    assert {name for _, name in exported} == set(geom.__all__) - {"Point2", "Cell", "StepProfile"}
+    assert [(m.__name__, n) for m, n in exported if getattr(m, n) is not getattr(geom, n)] == []
 
 
 def _fresh(code, **env):

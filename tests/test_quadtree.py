@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmquad import quadtree
+from pmquad import cli, quadtree
 from pmquad.errors import CapExceededError, DuplicateCoordinateError
 from pmquad.geom import Cell, Point2, StepProfile
 from pmquad.quadtree import (
@@ -386,3 +386,13 @@ class TestCoupling:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             coupled_extension_cost(np.array([0.5]), np.array([0.5]), -0.1, 0.5)
+
+    @pytest.mark.parametrize("t, eps, code, err", [
+        ("10", "1e308", 2, "invalid arguments: intensity budget t (1 + eps) must be finite, got inf"),
+        ("1e19", "1", 3, "cap exceeded: intensity budget t (1 + eps) = 2e+19 exceeds 2**62; "
+                         "trees are capped at 16777216 points"),
+    ])
+    def test_budget_messages_name_the_product(self, capsys, t, eps, code, err):
+        # t and eps pass their own checks; the budget drawn from is t (1 + eps)
+        assert cli.main(["experiment", "--kind", "coupling", "--t", t, "--eps", eps]) == code
+        assert capsys.readouterr() == ("", err + "\n")
