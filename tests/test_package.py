@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -52,13 +53,37 @@ def test_oracles_import_no_kernel():
     assert _package_imports(geom) == {"pmquad.errors"}
 
 
-def test_each_oracle_has_one_definition():
+EXPORTED = [(m, name) for m in (quadtree, kdtree, limitproc) for name in m.__all__
+            if name in geom.__all__]
+
+
+def test_each_oracle_exported():
+    assert ({name for _, name in EXPORTED}
+            == set(geom.__all__) - {"Point2", "Cell", "StepProfile"})
+
+
+@pytest.mark.parametrize("mod, name", EXPORTED,
+                         ids=[f"{m.__name__.split('.')[1]}.{n}" for m, n in EXPORTED])
+def test_each_oracle_has_one_definition(mod, name):
     # the kernel modules re-export geom's oracles; a copy of one of them there
     # would be an oracle that the import check does not cover
-    exported = {(m, name) for m in (quadtree, kdtree, limitproc) for name in m.__all__
-                if name in geom.__all__}
-    assert {name for _, name in exported} == set(geom.__all__) - {"Point2", "Cell", "StepProfile"}
-    assert [(m.__name__, n) for m, n in exported if getattr(m, n) is not getattr(geom, n)] == []
+    assert getattr(mod, name) is getattr(geom, name)
+
+
+def _functions(obj):
+    if isinstance(obj, type):
+        return [f for f in vars(obj).values() if isinstance(f, types.FunctionType)]
+    return [obj] if isinstance(obj, types.FunctionType) else []
+
+
+REEXPORTED_FUNCTIONS = [f for m, name in EXPORTED for f in _functions(getattr(m, name))]
+
+
+@pytest.mark.parametrize("fn", REEXPORTED_FUNCTIONS, ids=lambda fn: fn.__qualname__)
+def test_oracle_reads_geom_globals(fn):
+    # an oracle resolves its free names in the module it was defined in; the
+    # import check covers it only if that module is geom
+    assert fn.__globals__ is vars(geom)
 
 
 def _fresh(code, **env):
