@@ -11,6 +11,12 @@ of 256 on the harness's block scheduler (`harness.run_blocks`): --threads N
 children, and on no more than there are blocks or usable CPUs.  Output bytes
 do not depend on N.  --replications above 2**24 exits 3 before any block runs.
 
+`python -m pmquad.cli` and the `pmquad` script enter through `run`: it
+freezes the imported modules' objects (`gc.freeze`), so that no collection
+visits them again (in the run, at shutdown, in forked workers), and exits
+with `main`'s code.  `main` freezes nothing, for callers in the same process.
+A command imports only the kernels it runs (`limitproc`, `moments`, `kdtree`).
+
 Exit codes: 0 success, 1 stdout closed early (e.g. by `head`; no traceback),
 2 invalid arguments (including a command that yields no rows and an --out
 path that cannot be written), 3 cap exceeded, 4 acceptance check failed
@@ -20,6 +26,7 @@ path that cannot be written), 3 cap exceeded, 4 acceptance check failed
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -29,7 +36,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import kdtree, limitproc, moments, quadtree
+from . import quadtree
 from .errors import CapExceededError
 from .harness import (
     EXPERIMENT_KINDS,
@@ -44,7 +51,6 @@ from .harness import (
     run_check,
     run_experiment,
 )
-from .moments import psi_moments, second_moment_iterates, xi_perp_moments
 from .specfun import constants
 
 EXIT_OK = 0
@@ -224,6 +230,7 @@ def _cmd_constants(args) -> tuple:
 
 
 def _cmd_moments(args) -> tuple:
+    from .moments import psi_moments, xi_perp_moments
     fn = psi_moments if args.family == "psi" else xi_perp_moments
     table = fn(args.max_order)
     rows = [(m, table.c(m)) for m in range(1, args.max_order + 1)]
@@ -231,8 +238,9 @@ def _cmd_moments(args) -> tuple:
 
 
 def _cmd_second_moment(args) -> tuple:
+    from . import moments
     moments._check_grid(args.grid + 2)  # before the grid is built
-    gf = second_moment_iterates(args.iters, moments.make_grid(args.grid))
+    gf = moments.second_moment_iterates(args.iters, moments.make_grid(args.grid))
     rows = list(zip(gf.grid.tolist(), gf.values.tolist()))
     return Table(columns=["s", "m_n"], rows=rows, meta={"iters": args.iters}), []
 
@@ -261,18 +269,21 @@ def _cmd_profile(args) -> tuple:
     if args.tree == "quad":
         prof = quadtree.profile_xy(xs, ys)
     else:
+        from . import kdtree
         prof = kdtree.profile_xy(xs, ys, args.root_axis)
     rows = list(zip(prof.breakpoints, prof.values))
     return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed}), []
 
 
 def _block_simulate_limit(args, lo, hi):
+    from . import limitproc
     vals = limitproc.simulate_many(args.depth, args.s, args.seed, hi - lo,
                                    two_d=args.variant == "kd", start=lo)
     return list(zip(range(lo, hi), vals.tolist()))
 
 
 def _cmd_simulate_limit(args) -> tuple:
+    from . import limitproc
     quadtree._check_query(args.s)  # path mode does not read --s, but it is refused too
     if args.replications is not None:
         return _replicated(_block_simulate_limit, args, ["replication", "value"],
@@ -287,6 +298,7 @@ def _cmd_simulate_limit(args) -> tuple:
 
 
 def _block_diagnostics(args, lo, hi):
+    from . import limitproc
     wn, ln = limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)
     columns = [range(lo, hi), wn.tolist(), ln.tolist()]
     if args.fill_n is not None:
@@ -379,5 +391,11 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":
+def run():
+    """The process entry: main() with the import-time objects frozen."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -8,6 +8,8 @@ fixed-size index blocks, shared out between the calling process and forked
 children (`run_blocks`); the parts are put back in index order and
 aggregation sums them with exactly rounded summation, making output bytes
 independent of the worker count.
+
+Only limit-moments' steps import `limitproc` and `moments`; no other kind runs them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kdtree, limitproc, quadtree
+from . import quadtree
 from .errors import CapExceededError
-from .moments import make_grid, second_moment_iterates
+from .geom import HORIZONTAL, VERTICAL
 from .specfun import constants, h
 
 __all__ = [
@@ -434,6 +436,7 @@ def _check_supremum(spec, table, tol_scale):
 
 
 def _block_limit_moments(spec, lo, hi):
+    from . import limitproc
     two_d = spec.variant == "kd"
     vals = limitproc.simulate_many(
         spec.depth, spec.s, spec.seed, hi - lo, two_d=two_d, start=lo
@@ -442,6 +445,7 @@ def _block_limit_moments(spec, lo, hi):
 
 
 def _summarize_limit_moments(spec, values):
+    from .moments import make_grid, second_moment_iterates
     col = values[:, 0]
     st = aggregate(col)
     hs = h(spec.s)
@@ -559,7 +563,7 @@ def _check_coupling(spec, table, tol_scale):
 
 def _block_kd_mean(spec, lo, hi):
     (n,) = _sizes(spec)
-    axes = (kdtree.VERTICAL, kdtree.HORIZONTAL)
+    axes = (VERTICAL, HORIZONTAL)
     costs = [_line_costs((spec.seed, j), lo, hi, n, root_axis=a) for j, a in enumerate(axes)]
     return np.column_stack(costs)
 
@@ -645,8 +649,10 @@ def _validate(spec: ExperimentSpec) -> None:
     if spec.kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
     quadtree._check_query((spec.s, *spec.s_grid))
-    if spec.kind == "limit-moments" and spec.depth > limitproc._MAX_POINTWISE_DEPTH:
-        raise CapExceededError(f"depth {spec.depth} exceeds cap {limitproc._MAX_POINTWISE_DEPTH}")
+    if spec.kind == "limit-moments":
+        from .limitproc import _MAX_POINTWISE_DEPTH as cap
+        if spec.depth > cap:
+            raise CapExceededError(f"depth {spec.depth} exceeds cap {cap}")
     for n in spec.sizes:
         if n < 1:
             raise ValueError(f"sizes must be >= 1, got {n}")

@@ -123,6 +123,22 @@ def test_version_matches_pyproject():
         assert pmquad.__version__ == tomllib.load(fh)["project"]["version"]
 
 
+def test_console_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        module, _, attr = tomllib.load(fh)["project"]["scripts"]["pmquad"].partition(":")
+    script = getattr(importlib.import_module(module), attr)
+    # `python -m pmquad.cli` runs the one call under the module's __main__ guard
+    cli = importlib.import_module("pmquad.cli")
+    (guard,) = [node for node in ast.parse(inspect.getsource(cli)).body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (stmt,) = guard.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert not stmt.value.args and not stmt.value.keywords
+    assert getattr(cli, stmt.value.func.id) is script is cli.run
+
+
 def test_no_module_uses_an_executor_pool():
     # replicated blocks run on harness.run_blocks' own forked workers
     assert [m for m in MODULES if "concurrent" in inspect.getsource(importlib.import_module(m))] == []
