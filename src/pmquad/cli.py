@@ -302,8 +302,8 @@ def _block_diagnostics(args, lo, hi):
     wn, ln = limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)
     columns = [range(lo, hi), wn.tolist(), ln.tolist()]
     if args.fill_n is not None:
-        columns.append([limitproc.fill_up_level_xy(*xy)
-                        for xy in _uniform_samples((args.seed,), lo, hi, args.fill_n)])
+        trees = _uniform_samples((args.seed,), lo, hi, args.fill_n)
+        columns.append(limitproc._fill_up_levels(trees).tolist())
     return list(zip(*columns))
 
 

@@ -20,9 +20,10 @@ import math
 
 import numpy as np
 
+from . import quadtree
 from .errors import CapExceededError
 from .geom import _check_query, fill_up_level
-from .quadtree import _QUAD, _node_extents
+from .quadtree import _check_tree_xy, _coords, _runs
 from .specfun import beta_exponent
 
 __all__ = [
@@ -467,14 +468,61 @@ def diagnostics_many(n: int, master_seed: int, reps: int, start: int = 0):
 
 
 def fill_up_level_xy(xs, ys) -> int:
-    """fill_up_level(build(points)) of the points (xs, ys), from the node
-    counts per depth of the level-wise kernel."""
-    return _full_levels(_node_extents(xs, ys, _QUAD)[3])
+    """fill_up_level(build(points)) of the points (xs, ys), refused as
+    ``build`` refuses them: the one-tree case of ``_fill_up_levels``."""
+    xs, ys = _coords(xs, ys)
+    _check_tree_xy(xs, ys, np.sort(xs), np.sort(ys))
+    return int(_fill_up_levels([(xs, ys)])[0])
 
 
-def _full_levels(counts) -> int:
-    """Leading depths d whose node count is 4^d."""
-    level = 0
-    while level < len(counts) and counts[level] == 4**level:
-        level += 1
-    return level
+def _fill_up_levels(trees) -> np.ndarray:
+    """The fill-up levels of the quadtrees on the (xs, ys) ``trees``, whose
+    points are trusted: in the unit square and in general position.
+
+    They are counted together in calls of ``_fill_up_batch`` of at most
+    ``quadtree._BATCH_POINTS`` points, or one larger tree's."""
+    levels, xs, ys, held = [np.zeros(0, dtype=np.intp)], [], [], 0
+    for x, y in trees:
+        if held + x.size > quadtree._BATCH_POINTS and xs:
+            levels.append(_fill_up_batch(xs, ys))
+            xs, ys, held = [], [], 0
+        xs.append(x)
+        ys.append(y)
+        held += x.size
+    if xs:
+        levels.append(_fill_up_batch(xs, ys))
+    return np.concatenate(levels)
+
+
+def _fill_up_batch(xs, ys) -> np.ndarray:
+    """The fill-up levels of the quadtrees on the point arrays xs[j], ys[j].
+
+    Partitions the pending points a level at a time, as ``_node_extents``
+    does one tree's, on coordinates instead of x-ranks.  Each cell's pending
+    points are a run, starting with the trees: the first is the cell's node,
+    the rest go to its children, numbered child-major for a radix sort by
+    digit.  A tree's level d is full when it has 4^d runs there; a tree whose
+    level is not full drops out with all its points, so no tree is
+    partitioned below its first level that is not full."""
+    sizes = [a.size for a in xs]
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    levels = np.zeros(len(sizes), dtype=np.intp)
+    cell = np.repeat(np.arange(len(sizes)), sizes)
+    tree = np.arange(len(sizes))  # the tree of each cell
+    full = 1  # nodes at a full level: 4^d at depth d
+    while x.size:
+        at, run = _runs(cell)
+        k = np.intp(at.size)  # a Python int k would keep k * digit uint8, which wraps
+        tree = tree.take(cell.take(at))  # the tree of each node
+        grown = np.bincount(tree, minlength=len(sizes)) == full
+        if not grown.any():
+            break
+        levels += grown
+        digit = (x >= x.take(at).take(run)).view(np.uint8)  # right: x >= node x
+        digit += (y >= y.take(at).take(run)).view(np.uint8) * np.uint8(2)  # top: y >= node y
+        digit[at] = 4  # the nodes sort last and drop out, with the trees that did not grow
+        digit[~grown.take(tree).take(run)] = 4
+        order = digit.argsort(kind="stable")[: x.size - np.count_nonzero(digit == 4)]
+        cell, x, y = (run + k * digit).take(order), x.take(order), y.take(order)
+        tree, full = np.tile(tree, 4), 4 * full
+    return levels

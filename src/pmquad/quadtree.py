@@ -25,6 +25,12 @@ extent is a pair of ranks; +1 at every left rank and -1 at every right rank,
 counted in sorted-x order and summed, is the step function, with no sort of
 the extents.
 
+The level-wise kernels here and ``limitproc._fill_up_levels`` share one
+step, ``_runs``: at every level each cell's pending points are a run in a
+sorted cell array, and one gather from a table of run ranks indexed by cell
+numbers the points by run, at about a quarter of the cost per element of a
+cumulative sum over the run heads.
+
 The reference (oracle) trees, ``Node``, ``Tree``, ``build``, ``cost``,
 ``horizontal_crossings``, ``profile``, ``supremum`` and ``subtree_sizes``,
 live in ``geom``, which imports no kernel; they are re-exported here."""
@@ -260,17 +266,30 @@ def line_cost(xs, ys, s: float) -> int:
     return _slice_cost(xs, ys, s, _QUAD)
 
 
+def _runs(cell) -> tuple:
+    """(at, run) of a sorted, non-empty cell array: the start of each run of
+    equal cells, and the run of each element.  A table indexed by cell holds
+    each run's rank, so one gather numbers the elements, not a cumsum."""
+    head = np.empty(cell.size, dtype=bool)
+    head[0] = True
+    np.not_equal(cell[1:], cell[:-1], out=head[1:])
+    at = head.nonzero()[0]
+    rank = np.empty(cell[-1] + 1, dtype=np.intp)
+    rank[cell[at]] = np.arange(at.size)
+    return at, rank.take(cell)
+
+
 def _batch_line_costs(xs, ys, sizes, s, rule: int) -> np.ndarray:
     """The line costs of many small trees at once: tree j holds the next
     sizes[j] points of (xs, ys) in arrival order and is queried at s[j].
 
     Works a level at a time on the crossing cells only, with no x-extents:
     each cell's pending points are a run in arrival order, starting with the
-    trees.  The first point of a run is a crossing node; under an x-split,
-    the rest stay only on the query's side (x >= node x iff s >= node x, so
-    a line on the split goes right), and under a y-split they go to the
-    bottom or top child by a stable partition, top runs after all bottom
-    ones, as in ``_node_extents``.  A point is visited about 2.5 (quad) to
+    trees, numbered by ``_runs``.  The first point of a run is a crossing
+    node; under an x-split, the rest stay only on the query's side (x >= node
+    x iff s >= node x, so a line on the split goes right), and under a
+    y-split they go to the bottom or top child by a stable partition, top
+    runs after all bottom ones, as in ``_node_extents``.  A point is visited about 2.5 (quad) to
     5 (2-d tree) times, each visit an element of a numpy pass over the whole
     batch, which is cheaper than ``_slice_cost``'s one Python update per
     point up to about 2000 points per tree (``_screen``'s slices hold tens
@@ -285,20 +304,15 @@ def _batch_line_costs(xs, ys, sizes, s, rule: int) -> np.ndarray:
     tree = np.arange(sizes.size)  # the tree of each cell
     found = [tree[:0]]  # the tree of each crossing node, a level per array
     while x.size:
-        head = np.empty(x.size, dtype=bool)
-        head[0] = True
-        np.not_equal(cell[1:], cell[:-1], out=head[1:])
-        run = np.cumsum(head, dtype=np.intp)
-        run -= 1
-        at = head.nonzero()[0]
+        at, run = _runs(cell)
         tree = tree[cell[at]]
         found.append(tree)
         if rule != _KD_H:
             hx = x[at]
             keep = (x >= hx[run]) == (s[tree] >= hx)[run]
-            keep[at] = False
         else:
-            keep = ~head
+            keep = np.ones(x.size, dtype=bool)
+        keep[at] = False
         if rule != _KD_V:
             top = y >= y[at][run]
             order = np.concatenate(((keep & ~top).nonzero()[0], (keep & top).nonzero()[0]))
@@ -370,6 +384,16 @@ def _sampled_costs(trees, root_axis=None) -> np.ndarray:
     return np.concatenate(done)
 
 
+def _check_tree_xy(xs, ys, sx, sy) -> None:
+    """Refuses the points (xs, ys), with sx and sy their coordinates sorted,
+    as ``build`` does: names the first point outside the square, else the
+    first that repeats a coordinate."""
+    if xs.size and not (0.0 <= sx[0] and sx[-1] <= 1.0 and 0.0 <= sy[0] and sy[-1] <= 1.0) or any(
+        np.any(a[1:] == a[:-1]) for a in (sx, sy)
+    ):
+        _check_general_position(_points(xs, ys))
+
+
 def _node_extents(xs, ys, rule: int) -> tuple:
     """(x0, x1, pos, counts) of the tree the points (xs, ys) build in arrival
     order from the unit-square root under ``rule``: ``pos`` is 0.0, the sorted
@@ -381,21 +405,16 @@ def _node_extents(xs, ys, rule: int) -> tuple:
     first is the cell's node, the rest go to its children (right at x >= node
     x, top at y >= node y), numbered child-major for a radix sort by digit."""
     xs, ys = _coords(xs, ys)
-    n, order, sy = xs.size, np.argsort(xs), np.sort(ys)
+    n, order = xs.size, np.argsort(xs)
     pos = np.concatenate(([0.0], xs[order], [1.0]))
-    sx = pos[1:-1]
-    if n and not (0.0 <= sx[0] and sx[-1] <= 1.0 and 0.0 <= sy[0] and sy[-1] <= 1.0) or any(
-        np.any(a[1:] == a[:-1]) for a in (sx, sy)
-    ):  # raises, naming the first point outside the square, else the first repeat
-        _check_general_position(_points(xs, ys))
+    _check_tree_xy(xs, ys, pos[1:-1], np.sort(ys))
     r, y, cell = np.empty(n, dtype=np.intp), ys, np.zeros(n, dtype=np.intp)
     r[order] = np.arange(1, n + 1)
     lo, hi = np.zeros(1, dtype=np.intp), np.full(1, n + 1, dtype=np.intp)  # x-ranks by cell
     x0, x1, counts = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), []
     while r.size:
-        head = np.concatenate(([True], cell[1:] != cell[:-1]))
-        run = head.cumsum() - 1  # the cell run of each pending point
-        k, at = run[-1] + 1, head.nonzero()[0]
+        at, run = _runs(cell)  # run: the cell run of each pending point
+        k = np.intp(at.size)  # a Python int k would keep k * digit uint8, which wraps
         lo, hi, hr, hy = lo[cell[at]], hi[cell[at]], r[at], y[at]  # hr, hy: the nodes'
         x0[r.size - k : r.size], x1[r.size - k : r.size] = lo, hi  # deepest level first
         counts.append(int(k))

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pmquad.errors import CapExceededError
-from pmquad.geom import Point2
+from pmquad import cli, limitproc, quadtree
+from pmquad.errors import CapExceededError, DuplicateCoordinateError
+from pmquad.geom import Point2, _points
 from pmquad.limitproc import (
     crossing_boxes,
     diagnostics,
@@ -354,3 +360,96 @@ class TestFillUp:
             assert level == fill_up_level(tree)
             levels.append(level)
         assert max(levels) >= 3
+
+
+# 1, 5, 21 and 85 points are the fewest that fill levels 1 to 4.  A level
+# holds more than 255 nodes of a batch only when more than 16 trees fill
+# depth 2, so sizes are drawn in runs of repeats.
+FILL_SIZES = (0, 1, 2, 3, 5, 21, 85, 500, 2000)
+
+
+def _trees(sizes, seed):
+    return [sample_uniform_xy(n, np.random.default_rng([seed, j])) for j, n in enumerate(sizes)]
+
+
+def _oracle_levels(trees):
+    return [fill_up_level(build(_points(xs, ys))) for xs, ys in trees]
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """The tree sizes of every ``_fill_up_batch`` call, in call order."""
+    calls = []
+    batch = limitproc._fill_up_batch
+
+    def spy(xs, ys):
+        calls.append([a.size for a in xs])
+        return batch(xs, ys)
+
+    monkeypatch.setattr(limitproc, "_fill_up_batch", spy)
+    return calls
+
+
+class TestBatchedFillUp:
+    @settings(max_examples=30, deadline=None)
+    @given(runs=st.lists(st.tuples(st.sampled_from(FILL_SIZES), st.integers(1, 24)),
+                         min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_tree_matches_the_object_tree(self, runs, seed):
+        trees = _trees([n for n, repeat in runs for _ in range(repeat)], seed)
+        levels = limitproc._fill_up_levels(trees)
+        assert levels.tolist() == _oracle_levels(trees)
+        assert [fill_up_level_xy(*t) for t in trees] == levels.tolist()
+
+    def test_a_level_of_more_than_255_nodes(self, monkeypatch):
+        runs = limitproc._runs
+        widest = []
+
+        def spy(cell):
+            at, run = runs(cell)
+            widest.append(at.size)
+            return at, run
+
+        monkeypatch.setattr(limitproc, "_runs", spy)
+        trees = _trees((85,) * 40 + (2000,) * 4, 517)
+        assert limitproc._fill_up_levels(trees).tolist() == _oracle_levels(trees)
+        assert max(widest) > 255
+
+    def test_batches_straddle_a_small_budget(self, monkeypatch, batch_calls):
+        monkeypatch.setattr(quadtree, "_BATCH_POINTS", 700)
+        sizes = (85, 500, 0, 21, 2000, 5, 3, 500, 500, 1, 85, 0, 0, 2000)
+        trees = _trees(sizes, 518)
+        assert limitproc._fill_up_levels(trees).tolist() == _oracle_levels(trees)
+        assert batch_calls == [[85, 500, 0, 21], [2000], [5, 3, 500], [500, 1, 85, 0, 0],
+                               [2000]]
+
+    def test_no_batch_exceeds_the_point_budget(self, batch_calls):
+        # the diagnostics job of the replicate-many benchmark, and trees above
+        # the budget among small ones
+        budget = quadtree._BATCH_POINTS
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["diagnostics", "--depth", "1", "--replications", "200",
+                             "--fill-n", "500", "--threads", "1"]) == 0
+        assert sum(map(sum, batch_calls)) == 200 * 500
+        limitproc._fill_up_levels(_trees((0, 500, budget + 1, 3, 2 * budget, 0, 85), 519))
+        assert [budget + 1] in batch_calls and [2 * budget] in batch_calls
+        assert all(sum(c) <= budget or len(c) == 1 for c in batch_calls)
+        assert max(sum(c) for c in batch_calls if len(c) > 1) > budget - 500
+
+    def test_no_trees(self):
+        assert limitproc._fill_up_levels([]).tolist() == []
+
+    @pytest.mark.parametrize("xs, ys, error, message", [
+        ([0.5, 1.5], [0.2, 0.3], ValueError, "point (1.5, 0.3) outside the unit square"),
+        ([0.5, -0.1], [0.2, 0.3], ValueError, "point (-0.1, 0.3) outside the unit square"),
+        ([0.5, 0.2], [0.2, 1.01], ValueError, "point (0.2, 1.01) outside the unit square"),
+        ([0.5, math.nan], [0.1, 0.2], ValueError, "point (nan, 0.2) outside the unit square"),
+        ([0.5, 0.5], [0.2, 0.3], DuplicateCoordinateError,
+         "point 1 repeats a coordinate; inputs must be in general position"),
+        ([0.5, 0.2], [0.3, 0.3], DuplicateCoordinateError,
+         "point 1 repeats a coordinate; inputs must be in general position"),
+        ([0.5], [0.2, 0.3], ValueError, "coordinates must be 1-d of equal length"),
+    ])
+    def test_refuses_what_build_refuses(self, xs, ys, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            fill_up_level_xy(xs, ys)
