@@ -4,12 +4,13 @@ Subcommands: constants, moments, second-moment, simulate-cost, profile,
 simulate-limit, experiment, diagnostics.  Global flags (before the
 subcommand): --seed, --threads, --out, --format, --config.
 
-Every command with --replications (experiment, simulate-cost,
-simulate-limit --replications and diagnostics) runs its replications in blocks
-of 256 on the harness's block scheduler (`harness.run_blocks`): --threads N
-(N >= 1) runs the blocks on at most N processes, this one and forked
-children, and on no more than there are blocks or usable CPUs.  Output bytes
-do not depend on N.  --replications above 2**24 exits 3 before any block runs.
+Every command with --replications (experiment, simulate-cost, simulate-limit
+--replications and diagnostics) runs its replications in blocks of 256 on the
+harness's block scheduler (`harness.run_blocks`).  Each block returns a 2-d
+array, and the CLI forms its rows only as it writes them.  --threads N (N >= 1)
+runs the blocks on at most N processes, this one and forked children, and on
+no more than there are blocks or usable CPUs.  Output bytes do not depend on
+N.  --replications above 2**24 exits 3 before any block runs.
 
 `python -m pmquad.cli` and the `pmquad` script enter through `run`: it
 freezes the imported modules' objects (`gc.freeze`), so that no collection
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import math
 import os
 import sys
@@ -43,6 +45,7 @@ from .harness import (
     ExperimentSpec,
     Table,
     _GENERATOR_NAME,
+    _block_limit_moments,
     _line_costs,
     _uniform_samples,
     emit_csv,
@@ -246,15 +249,17 @@ def _cmd_second_moment(args) -> tuple:
 
 
 def _replicated(block_fn, args, columns, meta) -> Table:
-    """One table of the rows ``block_fn`` gives for each block, in index order."""
+    """One table of each block's array part after its replication indices; the
+    rows are formed a block at a time, as they are written."""
     parts = run_blocks(block_fn, args, args.replications, args.threads)
-    return Table(columns=columns, rows=[r for p in parts for r in p], meta=meta)
+    starts = itertools.accumulate((len(p) for p in parts), initial=0)
+    rows = (zip(range(lo, lo + len(p)), *p.T.tolist()) for lo, p in zip(starts, parts))
+    return Table(columns=columns, rows=itertools.chain.from_iterable(rows), meta=meta)
 
 
 def _block_simulate_cost(args, lo, hi):
     root_axis = args.root_axis if args.tree == "kd" else None
-    costs = _line_costs((args.seed,), lo, hi, args.n, args.poisson, args.s, root_axis)
-    return list(zip(range(lo, hi), costs.tolist()))
+    return _line_costs((args.seed,), lo, hi, args.n, args.poisson, args.s, root_axis)[:, None]
 
 
 def _cmd_simulate_cost(args) -> tuple:
@@ -275,36 +280,28 @@ def _cmd_profile(args) -> tuple:
     return Table(columns=["breakpoint", "value"], rows=rows, meta={"seed": args.seed}), []
 
 
-def _block_simulate_limit(args, lo, hi):
-    from . import limitproc
-    vals = limitproc.simulate_many(args.depth, args.s, args.seed, hi - lo,
-                                   two_d=args.variant == "kd", start=lo)
-    return list(zip(range(lo, hi), vals.tolist()))
-
-
 def _cmd_simulate_limit(args) -> tuple:
     from . import limitproc
     quadtree._check_query(args.s)  # path mode does not read --s, but it is refused too
+    meta = {"seed": args.seed, "depth": args.depth}
     if args.replications is not None:
-        return _replicated(_block_simulate_limit, args, ["replication", "value"],
-                           {"seed": args.seed, "depth": args.depth}), []
+        return _replicated(_block_limit_moments, args, ["replication", "value"], meta), []
     limitproc._check_path_grid(args.grid)  # before the grid is built
     grid = np.linspace(0.0, 1.0, args.grid)
     vals = limitproc.simulate_path(args.depth, grid, limitproc.env_seed(args.seed, 0),
                                    two_d=args.variant == "kd")
     rows = list(zip(grid.tolist(), vals.tolist()))
-    return Table(columns=["s", "z_n"], rows=rows,
-                 meta={"seed": args.seed, "depth": args.depth}), []
+    return Table(columns=["s", "z_n"], rows=rows, meta=meta), []
 
 
 def _block_diagnostics(args, lo, hi):
     from . import limitproc
-    wn, ln = limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)
-    columns = [range(lo, hi), wn.tolist(), ln.tolist()]
+    columns = [*limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)]
     if args.fill_n is not None:
         trees = _uniform_samples((args.seed,), lo, hi, args.fill_n)
-        columns.append(limitproc._fill_up_levels(trees).tolist())
-    return list(zip(*columns))
+        # float64 prints them as before: every level is an integer below 10**12
+        columns.append(limitproc._fill_up_levels(trees))
+    return np.column_stack(columns)
 
 
 def _cmd_diagnostics(args) -> tuple:

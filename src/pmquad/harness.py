@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 _BLOCK = 256  # fixed scheduling unit; never derived from the worker count
-# Replications per run; the CLI keeps every row, about 114-177 B each, so the
-# cap bounds a run near 2-3 GB.
+# Replications per run; the CLI keeps every block's array part, about 9-36 B
+# per replication, so the cap bounds a run near 0.15-0.6 GB.
 _MAX_REPLICATIONS = 1 << 24
 _GENERATOR_NAME = "pcg64"
 
@@ -107,7 +107,7 @@ class Table:
     """Result rows plus metadata emitted as comment lines."""
 
     columns: list
-    rows: list
+    rows: list  # or an iterator, which one emit reads
     meta: dict = field(default_factory=dict)
 
 
@@ -293,7 +293,7 @@ def _block_mean_profile(spec, lo, hi):
     grid = [float(s) for s in spec.s_grid or (0.5,)]
     (n,) = _sizes(spec)
     trees = ((xs, ys, s) for xs, ys in _uniform_samples((spec.seed,), lo, hi, n) for s in grid)
-    return quadtree._sampled_costs(trees).reshape(-1, len(grid)).astype(float)
+    return quadtree._sampled_costs(trees).reshape(-1, len(grid))
 
 
 def _summarize_mean_profile(spec, values):
@@ -641,7 +641,7 @@ def _meta(spec: ExperimentSpec, **extra) -> dict:
         "replications": spec.replications,
         "generator": _GENERATOR_NAME,
     }
-    meta.update({k: v for k, v in extra.items()})
+    meta.update(extra)
     return meta
 
 

@@ -11,7 +11,7 @@ output goes to this script's standard error; the JSON line
 ``{"exit": ..., "maxrss_kib": ..., "minflt": ...}`` is the only thing on
 standard output.  ``minflt`` is the command's count of minor page faults:
 pages it touched for the first time, such as those of freshly mapped
-memory.
+memory.  Tests import ``measure`` to start a fresh interpreter this way.
 """
 
 import json
@@ -26,6 +26,19 @@ def main() -> None:
     proc.returncode = os.waitstatus_to_exitcode(status)
     print(json.dumps({"exit": proc.returncode, "maxrss_kib": usage.ru_maxrss,
                       "minflt": usage.ru_minflt}))
+
+
+def measure(*args: str) -> dict:
+    """The JSON dict of a fresh interpreter run with ``args`` against the
+    pmquad the caller imports, after checking that it exited 0."""
+    import pmquad
+    src = os.path.dirname(os.path.dirname(os.path.realpath(pmquad.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__, sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0, proc.stderr[-2000:]
+    return result
 
 
 if __name__ == "__main__":

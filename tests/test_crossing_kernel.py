@@ -10,16 +10,9 @@ helpers) as the reference oracles.  Every comparison is bit for bit.  Shrinking
 multi-batch paths.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import pmquad
 from pmquad import limitproc, moments
 from pmquad.errors import CapExceededError
 from pmquad.limitproc import (
@@ -33,6 +26,8 @@ from pmquad.limitproc import (
 )
 from pmquad.moments import GridFunction, apply_K, make_grid
 from pmquad.specfun import beta_exponent, beta_fn
+
+from peak_rss import measure
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -421,17 +416,9 @@ class TestDiagnostics:
 
 
 def _peak_rss_mib(code: str) -> float:
-    """Peak RSS of a fresh interpreter running ``code`` against this pmquad,
-    started from the stdlib-only ``peak_rss.py`` so that pytest's own pages
-    do not count."""
-    src = str(Path(pmquad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    helper = str(Path(__file__).with_name("peak_rss.py"))
-    out = subprocess.run([sys.executable, helper, sys.executable, "-c", code], env=env,
-                         stdout=subprocess.PIPE, text=True, check=True).stdout
-    result = json.loads(out)
-    assert result["exit"] == 0
-    return result["maxrss_kib"] / 1024  # MiB (ru_maxrss is in KiB on Linux)
+    """Peak RSS of a fresh interpreter running ``code``, started from the
+    stdlib-only ``peak_rss.py`` so that pytest's own pages do not count."""
+    return measure("-c", code)["maxrss_kib"] / 1024  # MiB (ru_maxrss is in KiB on Linux)
 
 
 def test_depth_12_diagnostics_memory():

@@ -9,20 +9,15 @@ are read from ``limitproc``, so that a monkeypatched budget reaches both
 sides.  Every comparison is bit for bit.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import pmquad
 from pmquad import limitproc
 from pmquad.limitproc import crossing_boxes as workspace_boxes
 from pmquad.limitproc import simulate_many, simulate_path
 from pmquad.specfun import beta_exponent
+
+from peak_rss import measure
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -287,20 +282,6 @@ def test_crossing_boxes(depth, two_d):
         assert np.array_equal(areas, want_areas) and np.array_equal(rel, want_rel)
 
 
-def _minor_faults(*args: str) -> int:
-    """Minor page faults of a fresh interpreter run with ``args`` against this
-    pmquad, started from the stdlib-only ``peak_rss.py``."""
-    src = str(Path(pmquad.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    helper = str(Path(__file__).with_name("peak_rss.py"))
-    out = subprocess.run([sys.executable, helper, sys.executable, *args], env=env,
-                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-                         check=True).stdout
-    result = json.loads(out)
-    assert result["exit"] == 0
-    return result["minflt"]
-
-
 @pytest.mark.parametrize("job, bound", [
     (("simulate-limit", "--depth", "12", "--grid", "1024"), 15_000),
     (("experiment", "--kind", "limit-moments", "--depth", "14", "--s", "0.4",
@@ -310,5 +291,5 @@ def test_expansion_jobs_fault_in_their_memory_once(job, bound):
     # fresh temporaries at every level and batch took about 30k (path) and
     # 50k (limit-moments) faults over an import-only child; one workspace per
     # call leaves about 1.5k and 3.5k.  The bounds are half the former.
-    base = _minor_faults("-c", "import pmquad.cli")
-    assert _minor_faults("-m", "pmquad.cli", *job) - base < bound
+    base = measure("-c", "import pmquad.cli")["minflt"]
+    assert measure("-m", "pmquad.cli", *job)["minflt"] - base < bound
