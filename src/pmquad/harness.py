@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 _BLOCK = 256  # fixed scheduling unit; never derived from the worker count
-# Replications per run; the CLI keeps every block's array part, about 9-36 B
-# per replication, so the cap bounds a run near 0.15-0.6 GB.
+# Replications per run; the CLI keeps every block's array part, about 9-25 B
+# per replication, so the cap bounds a run near 0.15-0.45 GB.
 _MAX_REPLICATIONS = 1 << 24
 _GENERATOR_NAME = "pcg64"
 
@@ -87,8 +87,9 @@ def variance_se(samples) -> float:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Parameters of one experiment run; none is mutated after construction.
-    ``run_experiment`` checks ``kind``, ``sizes``, ``replications`` and, for the
-    kinds that read them, ``depth`` and ``eps``; the other fields are used as given."""
+    Before any block runs, ``_validate`` checks ``kind``, ``s``, ``s_grid``, each
+    size, that a kind that reads ``sizes`` got them (one for mean-profile and
+    kd-mean), ``depth``, ``eps`` and ``variant``; ``run_blocks`` checks ``replications``."""
 
     kind: str
     sizes: tuple = ()
@@ -281,17 +282,11 @@ def _uniform_samples(prefix, lo: int, hi: int, n: int):
 # experiment kinds: per-block simulation + summarize + acceptance check
 
 
-def _sizes(spec: ExperimentSpec) -> tuple:
-    if not spec.sizes:
-        raise ValueError(f"experiment kind {spec.kind!r} needs --n sizes")
-    return spec.sizes
-
-
 def _block_mean_profile(spec, lo, hi):
     """C_n(s) at each grid position s: the profile's values there, counted
     as one line cost per (tree, s)."""
     grid = [float(s) for s in spec.s_grid or (0.5,)]
-    (n,) = _sizes(spec)
+    (n,) = spec.sizes
     trees = ((xs, ys, s) for xs, ys in _uniform_samples((spec.seed,), lo, hi, n) for s in grid)
     return quadtree._sampled_costs(trees).reshape(-1, len(grid))
 
@@ -299,7 +294,7 @@ def _block_mean_profile(spec, lo, hi):
 def _summarize_mean_profile(spec, values):
     c = constants()
     grid = spec.s_grid or (0.5,)
-    (n,) = _sizes(spec)
+    (n,) = spec.sizes
     scale = c.K1 * n**c.beta
     rows = []
     for j, s in enumerate(grid):
@@ -345,14 +340,14 @@ def _line_costs(prefix, lo, hi, n=0, t=None, s=None, root_axis=None, suffix=()) 
 
 
 def _block_variance_uniform(spec, lo, hi):
-    costs = [_line_costs((spec.seed, j), lo, hi, n) for j, n in enumerate(_sizes(spec))]
+    costs = [_line_costs((spec.seed, j), lo, hi, n) for j, n in enumerate(spec.sizes)]
     return np.column_stack(costs)
 
 
 def _summarize_variance_uniform(spec, values):
     c = constants()
     rows = []
-    for j, n in enumerate(_sizes(spec)):
+    for j, n in enumerate(spec.sizes):
         col = values[:, j]
         st = aggregate(col)
         rows.append(
@@ -383,12 +378,17 @@ def _summarize_variance_uniform(spec, values):
     )
 
 
+def _mean_law(label, mean, target, se, tol_scale) -> list:
+    """[failure] unless ``mean`` is within 3 SE or 5% of ``target``, whichever is wider."""
+    tol = max(3.0 * se, 0.05 * target) * tol_scale
+    if abs(mean - target) > tol:
+        return [f"{label}|mean {mean:.4g} - {target:.4g}| > {tol:.3g}"]
+    return []
+
+
 def _check_variance_uniform(spec, table, tol_scale):
-    failures = []
-    for n, mean, target, se, _, _, _, _ in table.rows:
-        tol = max(3.0 * se, 0.05 * target) * tol_scale
-        if abs(mean - target) > tol:
-            failures.append(f"n={int(n)}: |mean {mean:.4g} - {target:.4g}| > {tol:.3g}")
+    failures = [f for n, mean, target, se, *_ in table.rows
+                for f in _mean_law(f"n={int(n)}: ", mean, target, se, tol_scale)]
     norms = [row[5] for row in table.rows]
     if any(b < a for a, b in zip(norms, norms[1:])):
         failures.append(f"var/n^2b not nondecreasing: {norms}")
@@ -399,9 +399,8 @@ def _check_variance_uniform(spec, table, tol_scale):
 
 
 def _block_supremum(spec, lo, hi):
-    sizes = _sizes(spec)
-    out = np.empty((hi - lo, len(sizes)))
-    for j, n in enumerate(sizes):
+    out = np.empty((hi - lo, len(spec.sizes)))
+    for j, n in enumerate(spec.sizes):
         out[:, j] = [quadtree.profile_xy(*xy).max_segment()[0]
                      for xy in _uniform_samples((spec.seed, j), lo, hi, n)]
     return out
@@ -410,7 +409,7 @@ def _block_supremum(spec, lo, hi):
 def _summarize_supremum(spec, values):
     c = constants()
     rows = []
-    for j, n in enumerate(_sizes(spec)):
+    for j, n in enumerate(spec.sizes):
         st = aggregate(values[:, j])
         scale = c.K1 * n**c.beta
         rows.append((n, st.mean, st.mean / scale, st.standard_error / scale))
@@ -562,7 +561,7 @@ def _check_coupling(spec, table, tol_scale):
 
 
 def _block_kd_mean(spec, lo, hi):
-    (n,) = _sizes(spec)
+    (n,) = spec.sizes
     axes = (VERTICAL, HORIZONTAL)
     costs = [_line_costs((spec.seed, j), lo, hi, n, root_axis=a) for j, a in enumerate(axes)]
     return np.column_stack(costs)
@@ -570,7 +569,7 @@ def _block_kd_mean(spec, lo, hi):
 
 def _summarize_kd_mean(spec, values):
     c = constants()
-    (n,) = _sizes(spec)
+    (n,) = spec.sizes
     rows = []
     targets = (
         ("parallel", c.kappa_par * n**c.beta - 2.0),
@@ -587,12 +586,8 @@ def _summarize_kd_mean(spec, values):
 
 
 def _check_kd_mean(spec, table, tol_scale):
-    failures = []
-    for flavor, n, mean, target, se in table.rows:
-        tol = max(3.0 * float(se), 0.05 * float(target)) * tol_scale
-        if abs(float(mean) - float(target)) > tol:
-            failures.append(f"{flavor}: |mean {mean:.4g} - {target:.4g}| > {tol:.3g}")
-    return failures
+    return [f for flavor, _, mean, target, se in table.rows
+            for f in _mean_law(f"{flavor}: ", mean, target, se, tol_scale)]
 
 
 def _block_poisson_mean(spec, lo, hi):
@@ -611,12 +606,8 @@ def _summarize_poisson_mean(spec, values):
 
 
 def _check_poisson_mean(spec, table, tol_scale):
-    (row,) = table.rows
-    _, mean, target, se = row
-    tol = max(3.0 * se, 0.05 * target) * tol_scale
-    if abs(mean - target) > tol:
-        return [f"|mean {mean:.4g} - {target:.4g}| > {tol:.3g}"]
-    return []
+    ((_, mean, target, se),) = table.rows
+    return _mean_law("", mean, target, se, tol_scale)
 
 
 EXPERIMENT_KINDS = {
@@ -653,6 +644,8 @@ def _validate(spec: ExperimentSpec) -> None:
         from .limitproc import _MAX_POINTWISE_DEPTH as cap
         if spec.depth > cap:
             raise CapExceededError(f"depth {spec.depth} exceeds cap {cap}")
+        if spec.variant not in ("quad", "kd"):
+            raise ValueError(f"limit-moments variant must be 'quad' or 'kd', got {spec.variant!r}")
     for n in spec.sizes:
         if n < 1:
             raise ValueError(f"sizes must be >= 1, got {n}")
@@ -662,6 +655,8 @@ def _validate(spec: ExperimentSpec) -> None:
         quadtree._check_finite("coupling eps", spec.eps)
     if spec.kind in ("mean-profile", "kd-mean") and len(spec.sizes) != 1:
         raise ValueError(f"{spec.kind} takes exactly one size")
+    if spec.kind in ("variance-uniform-query", "supremum") and not spec.sizes:
+        raise ValueError(f"experiment kind {spec.kind!r} needs --n sizes")
 
 
 def _block_worker(spec, lo, hi):
@@ -733,13 +728,15 @@ def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
             fds.append(r)
         shares = [_blocks(fn, params, reps, 0, stride)]
         for r in fds:
-            with open(r, "rb", closefd=False) as fh:
-                data = fh.read()
+            with open(r, "rb", closefd=False) as fh:  # unpickled as read: no copy of the bytes
+                try:
+                    ok, value = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):  # nothing sent, or cut short
+                    ok = None
             status = os.waitpid(pids[0], 0)[1]
             pid = pids.pop(0)
-            if status or not data:
+            if status or ok is None:
                 raise RuntimeError(f"worker {pid} sent no result (wait status {status})")
-            ok, value = pickle.loads(data)
             if not ok:
                 raise value
             shares.append(value)

@@ -74,3 +74,13 @@ def test_memory_does_not_grow_by_a_row_per_replication(job):
         return measure("-m", "pmquad.cli", *job, "--replications", str(reps))["maxrss_kib"] / 1024
 
     assert peak_mib(400_000) - peak_mib(100_000) < 12
+
+
+def test_a_forked_share_is_not_held_twice():
+    # the caller unpickles a worker's share as it reads the pipe: keeping the
+    # bytes read beside the unpickled parts peaked 2.0-2.1 MiB above --threads 1
+    def peak_mib(threads):
+        return measure("-m", "pmquad.cli", "simulate-cost", "--n", "2", "--s", "0.5",
+                       "--replications", str(2**19), "--threads", str(threads))["maxrss_kib"] / 1024
+
+    assert peak_mib(2) - peak_mib(1) < 1

@@ -93,8 +93,9 @@ class TestPoissonMean:
         assert _failures(self.SPEC, _column(self.TARGET, 25.0).reshape(-1, 1)) == []
 
     def test_mean_off_the_target(self):
-        (failure,) = _failures(self.SPEC, _column(1.2 * self.TARGET, 25.0).reshape(-1, 1))
-        assert failure.startswith("|mean")
+        # the tolerance is the 5% floor here: 3 SE is 1.5
+        assert _failures(self.SPEC, _column(1.2 * self.TARGET, 25.0).reshape(-1, 1)) == [
+            "|mean 45.9 - 38.25| > 1.91"]
 
 
 class TestVarianceUniform:
@@ -106,6 +107,12 @@ class TestVarianceUniform:
 
     def test_passes_near_k4(self):
         assert _failures(self.SPEC, self._values((0.9, 1.05))) == []
+
+    def test_mean_off_the_target(self):
+        # the tolerance is 3 SE here: the 5% floor is 1.01
+        values = self._values((0.9, 1.05))
+        values[:, 0] += 0.2 * (C.kappa * 100**C.beta - 1.0)
+        assert _failures(self.SPEC, values) == ["n=100: |mean 24.21 - 20.18| > 2.51"]
 
     def test_trend_not_nondecreasing(self):
         (failure,) = _failures(self.SPEC, self._values((1.1, 1.05)))
@@ -136,3 +143,16 @@ class TestCoupling:
     def test_a_pathwise_violation(self):
         assert _failures(self.SPEC, self._values(violate=True)) == [
             "1 pathwise violations of base <= extended"]
+
+
+class TestKdMean:
+    SPEC = ExperimentSpec(kind="kd-mean", sizes=(500,))
+    TARGETS = (C.kappa_par * 500**C.beta - 2.0, C.kappa_perp * 500**C.beta - 3.0)
+
+    def test_passes_on_the_targets(self):
+        assert _failures(self.SPEC, np.column_stack([_column(t, 9.0) for t in self.TARGETS])) == []
+
+    def test_perpendicular_mean_off_its_target(self):
+        par, perp = self.TARGETS
+        values = np.column_stack([_column(par, 9.0), _column(0.8 * perp, 9.0)])
+        assert _failures(self.SPEC, values) == ["perpendicular: |mean 64.54 - 80.68| > 4.03"]

@@ -335,6 +335,28 @@ class TestRunExperiment:
         with pytest.raises(CapExceededError, match="size 11 exceeds cap 10"):
             run_experiment(ExperimentSpec(kind=kind, sizes=(11,), replications=1))
 
+    @pytest.mark.parametrize("kind, err", [
+        ("mean-profile", "mean-profile takes exactly one size"),
+        ("variance-uniform-query", "experiment kind 'variance-uniform-query' needs --n sizes"),
+        ("supremum", "experiment kind 'supremum' needs --n sizes"),
+        ("kd-mean", "kd-mean takes exactly one size"),
+    ], ids=["mean-profile", "variance-uniform-query", "supremum", "kd-mean"])
+    def test_missing_sizes_refused_before_any_block(self, monkeypatch, capsys, kind, err):
+        from pmquad.cli import main
+
+        monkeypatch.setattr(harness, "run_blocks", lambda *a: pytest.fail("a block ran"))
+        argv = ["--threads", "2", "experiment", "--kind", kind, "--replications", "600"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"invalid arguments: {err}\n")
+
+    @pytest.mark.parametrize("variant", ["KD", "", "2d"], ids=["KD", "empty", "2d"])
+    def test_unknown_variant_refused_before_any_block(self, monkeypatch, variant):
+        monkeypatch.setattr(harness, "run_blocks", lambda *a: pytest.fail("a block ran"))
+        spec = ExperimentSpec(kind="limit-moments", depth=4, variant=variant)
+        with pytest.raises(ValueError, match=f"^limit-moments variant must be 'quad' or 'kd', "
+                                             f"got {variant!r}$"):
+            run_experiment(spec)
+
     def test_mean_profile_columns(self):
         spec = ExperimentSpec(
             kind="mean-profile", sizes=(120,), replications=40,
@@ -399,7 +421,7 @@ class TestRunExperiment:
 # poisson-mean and coupling as they stood before they were folded into
 # harness._line_costs, kept verbatim as oracles.
 def _oracle_block_variance_uniform(spec, lo, hi):
-    sizes = harness._sizes(spec)
+    sizes = spec.sizes
     out = np.empty((hi - lo, len(sizes)))
     for j, n in enumerate(sizes):
         for i, rng in enumerate(harness._streams((spec.seed, j), lo, hi)):
@@ -410,7 +432,7 @@ def _oracle_block_variance_uniform(spec, lo, hi):
 
 
 def _oracle_block_kd_mean(spec, lo, hi):
-    (n,) = harness._sizes(spec)
+    (n,) = spec.sizes
     out = np.empty((hi - lo, 2))
     for j, axis in enumerate((kdtree.VERTICAL, kdtree.HORIZONTAL)):
         for i, rng in enumerate(harness._streams((spec.seed, j), lo, hi)):

@@ -1,9 +1,11 @@
 """The exact finite-n mean recursions of ``mean_oracles`` against hand-derived
 values, against ``constants()``' kappa, kappa_par and kappa_perp, and against
-``simulate-cost``'s sampled means, for trees counted whole and screened."""
+``simulate-cost``'s sampled means, for trees counted whole and screened, of
+a fixed size and of a Poisson(T) size."""
 
 import io
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +18,22 @@ from pmquad.specfun import constants
 from mean_oracles import kd_means, quadtree_means
 
 
+def _means(flavour: str):
+    """The float means of one flavour (quad, or the kd root axis v or h) at n = 1, 2, ..."""
+    return quadtree_means() if flavour == "quad" else (vh["vh".index(flavour)] for vh in kd_means())
+
+
 def _mean(flavour: str, n: int) -> float:
-    """The float mean of one flavour (quad, or the kd root axis v or h) at n."""
-    gen = quadtree_means() if flavour == "quad" else (vh["vh".index(flavour)] for vh in kd_means())
-    return next(itertools.islice(gen, n - 1, None))
+    return next(itertools.islice(_means(flavour), n - 1, None))
+
+
+def _poisson_mean(flavour: str, t: float) -> float:
+    """sum_k P(Poisson(t) = k) mean_k, with mean_0 = 0.  The sizes left out,
+    past t + 20 sqrt(t) + 20, have probability below e^-140 for t >= 100
+    (a Chernoff bound)."""
+    terms = range(1, int(t + 20.0 * math.sqrt(t) + 20.0))
+    return math.fsum(math.exp(k * math.log(t) - t - math.lgamma(k + 1)) * mean
+                     for k, mean in zip(terms, _means(flavour)))
 
 
 def test_small_means_are_exact():
@@ -42,12 +56,15 @@ def test_means_approach_the_kappa_law(flavour, kappa, shift):
     assert scaled[1] == pytest.approx(scaled[0], rel=1e-3)
 
 
-@pytest.mark.parametrize("n, reps", [(100, 40_000), (2000, 10_000)], ids=["whole", "screened"])
+@pytest.mark.parametrize("size, value, reps", [
+    ("--n", 100, 40_000), ("--n", 2000, 10_000), ("--poisson", 100, 40_000),
+    ("--poisson", 2000, 10_000)], ids=["whole", "screened", "poisson-whole", "poisson-screened"])
 @pytest.mark.parametrize("flavour", ["quad", "v", "h"])
-def test_sampled_mean_matches_the_exact_mean(flavour, n, reps, capsys):
+def test_sampled_mean_matches_the_exact_mean(flavour, size, value, reps, capsys):
     tree = [] if flavour == "quad" else ["--tree", "kd", "--root-axis", flavour]
-    argv = ["--seed", "7", "--threads", "2", "simulate-cost", "--n", str(n),
+    argv = ["--seed", "7", "--threads", "2", "simulate-cost", size, str(value),
             "--replications", str(reps), *tree]
     assert main(argv) == 0
     costs = np.array([row[1] for row in parse_csv(io.StringIO(capsys.readouterr().out)).rows])
-    assert abs(costs.mean() - _mean(flavour, n)) < 4.0 * costs.std(ddof=1) / np.sqrt(costs.size)
+    exact = _mean(flavour, value) if size == "--n" else _poisson_mean(flavour, value)
+    assert abs(costs.mean() - exact) < 4.0 * costs.std(ddof=1) / np.sqrt(costs.size)
