@@ -3,7 +3,8 @@
 Subpackages by concern: ``specfun`` (constants and special functions),
 ``moments`` (moment recursions and the second-moment operator), ``quadtree``
 and ``kdtree`` (structures and exact costs), ``limitproc`` (limit-process
-approximants), ``harness`` (seeded Monte Carlo experiments), ``cli``.
+approximants), ``harness`` (seeded Monte Carlo experiments), ``table``
+(result tables and their CSV and plot formats), ``cli``.
 """
 
 from .specfun import ConstantSet, beta_exponent, constants, h

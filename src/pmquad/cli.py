@@ -16,7 +16,10 @@ N.  --replications above 2**24 exits 3 before any block runs.
 freezes the imported modules' objects (`gc.freeze`), so that no collection
 visits them again (in the run, at shutdown, in forked workers), and exits
 with `main`'s code.  `main` freezes nothing, for callers in the same process.
-A command imports only the kernels it runs (`limitproc`, `moments`, `kdtree`).
+At its top this module imports only the standard library, numpy, `errors`,
+`specfun` and `table`.  A command imports only the modules it runs (`harness`,
+`quadtree`, `limitproc`, `moments`, `kdtree`), so that a process compiles no
+Monte Carlo code it does not run: `constants` loads none of them.
 
 Exit codes: 0 success, 1 stdout closed early (e.g. by `head`; no traceback),
 2 invalid arguments (including a command that yields no rows and an --out
@@ -38,23 +41,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import quadtree
 from .errors import CapExceededError
-from .harness import (
-    EXPERIMENT_KINDS,
-    ExperimentSpec,
-    Table,
-    _GENERATOR_NAME,
-    _block_limit_moments,
-    _line_costs,
-    _uniform_samples,
-    emit_csv,
-    emit_plot_data,
-    run_blocks,
-    run_check,
-    run_experiment,
-)
 from .specfun import constants
+from .table import Table, emit_csv, emit_plot_data
+
+# sorted(harness.EXPERIMENT_KINDS), known before the harness loads
+_KINDS = ("coupling", "kd-mean", "limit-moments", "mean-profile", "poisson-mean", "supremum",
+          "variance-uniform-query")
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -175,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "and report its fill-up level")
 
     ex = sub.add_parser("experiment", parents=[common], help="seeded Monte Carlo experiment")
-    ex.add_argument("--kind", required=True, choices=sorted(EXPERIMENT_KINDS))
+    ex.add_argument("--kind", required=True, choices=_KINDS)
     ex.add_argument("--n", type=int, nargs="*", default=[], help="tree sizes")
     ex.add_argument("--t", type=float, default=100.0, help="Poisson time budget")
     ex.add_argument("--replications", type=int, default=100)
@@ -251,6 +244,7 @@ def _cmd_second_moment(args) -> tuple:
 def _replicated(block_fn, args, columns, meta) -> Table:
     """One table of each block's array part after its replication indices; the
     rows are formed a block at a time, as they are written."""
+    from .harness import run_blocks
     parts = run_blocks(block_fn, args, args.replications, args.threads)
     starts = itertools.accumulate((len(p) for p in parts), initial=0)
     rows = (zip(range(lo, lo + len(p)), *p.T.tolist()) for lo, p in zip(starts, parts))
@@ -258,11 +252,14 @@ def _replicated(block_fn, args, columns, meta) -> Table:
 
 
 def _block_simulate_cost(args, lo, hi):
+    from .harness import _line_costs
     root_axis = args.root_axis if args.tree == "kd" else None
     return _line_costs((args.seed,), lo, hi, args.n, args.poisson, args.s, root_axis)[:, None]
 
 
 def _cmd_simulate_cost(args) -> tuple:
+    from . import quadtree
+    from .harness import _GENERATOR_NAME
     if args.poisson is not None:
         quadtree._check_budget(args.poisson)  # before any block runs
     meta = {"seed": args.seed, "tree": args.tree, "generator": _GENERATOR_NAME}
@@ -270,6 +267,7 @@ def _cmd_simulate_cost(args) -> tuple:
 
 
 def _cmd_profile(args) -> tuple:
+    from . import quadtree
     xs, ys = quadtree.sample_uniform_xy(args.n, np.random.default_rng([args.seed, 0]))
     if args.tree == "quad":
         prof = quadtree.profile_xy(xs, ys)
@@ -282,9 +280,11 @@ def _cmd_profile(args) -> tuple:
 
 def _cmd_simulate_limit(args) -> tuple:
     from . import limitproc
-    quadtree._check_query(args.s)  # path mode does not read --s, but it is refused too
+    from .geom import _check_query
+    _check_query(args.s)  # path mode does not read --s, but it is refused too
     meta = {"seed": args.seed, "depth": args.depth}
     if args.replications is not None:
+        from .harness import _block_limit_moments
         return _replicated(_block_limit_moments, args, ["replication", "value"], meta), []
     limitproc._check_path_grid(args.grid)  # before the grid is built
     grid = np.linspace(0.0, 1.0, args.grid)
@@ -296,6 +296,7 @@ def _cmd_simulate_limit(args) -> tuple:
 
 def _block_diagnostics(args, lo, hi):
     from . import limitproc
+    from .harness import _uniform_samples
     columns = [*limitproc.diagnostics_many(args.depth, args.seed, hi - lo, start=lo)]
     if args.fill_n is not None:
         trees = _uniform_samples((args.seed,), lo, hi, args.fill_n)
@@ -313,6 +314,7 @@ def _cmd_diagnostics(args) -> tuple:
 
 
 def _cmd_experiment(args) -> tuple:
+    from .harness import ExperimentSpec, run_check, run_experiment
     spec = ExperimentSpec(
         kind=args.kind,
         sizes=tuple(args.n),

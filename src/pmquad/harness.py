@@ -19,7 +19,7 @@ import operator
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from . import quadtree
 from .errors import CapExceededError
 from .geom import HORIZONTAL, VERTICAL
 from .specfun import constants, h
+from .table import Table, _emit, _fmt, emit_csv, emit_plot_data, parse_csv  # re-exported
 
 __all__ = [
     "ExperimentSpec",
@@ -89,7 +90,8 @@ class ExperimentSpec:
     """Parameters of one experiment run; none is mutated after construction.
     Before any block runs, ``_validate`` checks ``kind``, ``s``, ``s_grid``, each
     size, that a kind that reads ``sizes`` got them (one for mean-profile and
-    kd-mean), ``depth``, ``eps`` and ``variant``; ``run_blocks`` checks ``replications``."""
+    kd-mean), ``depth``, ``eps``, ``variant`` and the budget ``t`` (and ``t (1 +
+    eps)``); ``run_blocks`` checks ``replications``."""
 
     kind: str
     sizes: tuple = ()
@@ -101,72 +103,6 @@ class ExperimentSpec:
     depth: int = 10
     eps: float = 0.1
     variant: str = "quad"  # limit-moments: quad | kd
-
-
-@dataclass
-class Table:
-    """Result rows plus metadata emitted as comment lines."""
-
-    columns: list
-    rows: list  # or an iterator, which one emit reads
-    meta: dict = field(default_factory=dict)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".12g")
-
-
-def _emit(table: Table, fh, sep: str, header: str) -> None:
-    """'#' metadata lines, ``header`` + the column names, then the rows."""
-    if not table.rows:
-        raise ValueError("refusing to emit an empty table")
-    for k in sorted(table.meta):
-        fh.write(f"# {k}={table.meta[k]}\n")
-    fh.write(header + sep.join(table.columns) + "\n")
-    for row in table.rows:
-        fh.write(sep.join(_fmt(v) for v in row) + "\n")
-
-
-def emit_csv(table: Table, fh) -> None:
-    """CSV with '#' metadata lines, a header row, 12 significant digits."""
-    _emit(table, fh, ",", "")
-
-
-def emit_plot_data(table: Table, fh) -> None:
-    """gnuplot-style whitespace-separated columns with a '#' header."""
-    _emit(table, fh, " ", "# ")
-
-
-def parse_csv(fh) -> Table:
-    meta = {}
-    columns = None
-    rows = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                meta[k] = v
-            continue
-        parts = line.split(",")
-        if columns is None:
-            columns = parts
-            continue
-        row = []
-        for p in parts:
-            try:
-                row.append(float(p))
-            except ValueError:
-                row.append(p)
-        rows.append(tuple(row))
-    return Table(columns=columns or [], rows=rows, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +587,18 @@ def _validate(spec: ExperimentSpec) -> None:
             raise ValueError(f"sizes must be >= 1, got {n}")
         if n > quadtree._MAX_POINTS:
             raise CapExceededError(f"size {n} exceeds cap {quadtree._MAX_POINTS}")
-    if spec.kind == "coupling":
-        quadtree._check_finite("coupling eps", spec.eps)
     if spec.kind in ("mean-profile", "kd-mean") and len(spec.sizes) != 1:
         raise ValueError(f"{spec.kind} takes exactly one size")
     if spec.kind in ("variance-uniform-query", "supremum") and not spec.sizes:
         raise ValueError(f"experiment kind {spec.kind!r} needs --n sizes")
+    # the samplers' and limitproc's own checks, with their messages
+    if spec.kind == "limit-moments" and spec.depth < 0:
+        raise ValueError(f"depth must be >= 0, got {spec.depth}")
+    if spec.kind == "poisson-mean":
+        quadtree._check_budget(spec.t)
+    if spec.kind == "coupling":
+        quadtree._check_finite("coupling eps", spec.eps)
+        quadtree._check_extension(spec.t, spec.eps)
 
 
 def _block_worker(spec, lo, hi):

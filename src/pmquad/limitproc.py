@@ -20,10 +20,8 @@ import math
 
 import numpy as np
 
-from . import quadtree
 from .errors import CapExceededError
 from .geom import _check_query, fill_up_level
-from .quadtree import _check_tree_xy, _coords, _runs
 from .specfun import beta_exponent
 
 __all__ = [
@@ -470,6 +468,7 @@ def diagnostics_many(n: int, master_seed: int, reps: int, start: int = 0):
 def fill_up_level_xy(xs, ys) -> int:
     """fill_up_level(build(points)) of the points (xs, ys), refused as
     ``build`` refuses them: the one-tree case of ``_fill_up_levels``."""
+    from .quadtree import _check_tree_xy, _coords
     xs, ys = _coords(xs, ys)
     _check_tree_xy(xs, ys, np.sort(xs), np.sort(ys))
     return int(_fill_up_levels([(xs, ys)])[0])
@@ -481,6 +480,7 @@ def _fill_up_levels(trees) -> np.ndarray:
 
     They are counted together in calls of ``_fill_up_batch`` of at most
     ``quadtree._BATCH_POINTS`` points, or one larger tree's."""
+    from . import quadtree
     levels, xs, ys, held = [np.zeros(0, dtype=np.intp)], [], [], 0
     for x, y in trees:
         if held + x.size > quadtree._BATCH_POINTS and xs:
@@ -492,6 +492,12 @@ def _fill_up_levels(trees) -> np.ndarray:
     if xs:
         levels.append(_fill_up_batch(xs, ys))
     return np.concatenate(levels)
+
+
+def _runs(cell) -> tuple:
+    """``quadtree._runs``, loaded only when fill-up levels are counted."""
+    from .quadtree import _runs
+    return _runs(cell)
 
 
 def _fill_up_batch(xs, ys) -> np.ndarray:

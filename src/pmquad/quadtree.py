@@ -102,6 +102,13 @@ def _check_budget(t: float, name: str = "intensity budget t") -> None:
                                f"at {_MAX_POINTS} points")
 
 
+def _check_extension(t: float, eps: float) -> None:
+    """Refuses what ``sample_extension_xy`` cannot draw, before any draw."""
+    _check_finite("eps", eps)
+    _check_finite("intensity budget t", t)
+    _check_budget(t * (1.0 + eps), "intensity budget t (1 + eps)")
+
+
 def sample_poisson_xy(t: float, rng) -> tuple:
     """A Poisson(t) number of uniform points as (xs, ys), in arrival order."""
     _check_budget(t)
@@ -452,9 +459,7 @@ def sample_extension_xy(t: float, eps: float, rng) -> tuple:
 
     The count is Poisson(t (1 + eps)); arrival order is the generation order.
     """
-    _check_finite("eps", eps)
-    _check_finite("intensity budget t", t)
-    _check_budget(t * (1.0 + eps), "intensity budget t (1 + eps)")
+    _check_extension(t, eps)
     xs, ys = sample_uniform_xy(int(rng.poisson(t * (1.0 + eps))), rng)
     return xs * (1.0 + eps) - eps, ys
 

@@ -8,7 +8,7 @@ import argparse
 import numpy as np
 import pytest
 
-from pmquad import cli
+from pmquad import cli, harness
 from pmquad.harness import EXPERIMENT_KINDS, ExperimentSpec
 
 from peak_rss import measure
@@ -58,7 +58,7 @@ def test_block_returns_one_row_per_replication(block_fn, params):
 def test_replicated_numbers_rows_across_unequal_parts(monkeypatch):
     parts = [np.array([[1.5, 2.0], [3.0, 4.0], [5.0, 6.0]]), np.array([[7, 8]]),
              np.array([[9.0, 10.0], [11.0, 12.0]])]
-    monkeypatch.setattr(cli, "run_blocks", lambda fn, params, reps, threads: parts)
+    monkeypatch.setattr(harness, "run_blocks", lambda fn, params, reps, threads: parts)
     table = cli._replicated(None, _args(replications=6, threads=1), ["r", "a", "b"], {})
     assert list(table.rows) == [(0, 1.5, 2.0), (1, 3.0, 4.0), (2, 5.0, 6.0), (3, 7, 8),
                                 (4, 9.0, 10.0), (5, 11.0, 12.0)]

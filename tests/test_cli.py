@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pmquad import cli, kdtree, limitproc, quadtree
+from pmquad import cli, harness, kdtree, limitproc, quadtree
 from pmquad.cli import main
 from pmquad.harness import Table, emit_csv, parse_csv
 from pmquad.quadtree import sample_uniform_points
@@ -579,7 +579,7 @@ class TestNonFiniteBudgetsAndEps:
         assert "lam" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_simulate_cost_budget_checked_before_any_block(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_blocks", lambda *a: pytest.fail("a block ran"))
+        monkeypatch.setattr(harness, "run_blocks", lambda *a: pytest.fail("a block ran"))
         code, out, err = run_cli(["simulate-cost", "--poisson", "nan"], capsys)
         assert (code, out) == (2, "")
         assert err == "invalid arguments: intensity budget t must be finite, got nan\n"

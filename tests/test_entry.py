@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from pmquad import cli
+from pmquad import cli, harness
 
 KERNELS = ("pmquad.kdtree", "pmquad.limitproc", "pmquad.moments")
 
@@ -26,7 +26,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"exit": code, "frozen": gc.get_freeze_count(),
-                  "kernels": sorted(m for m in %r if m in sys.modules)}))
+                  "kernels": sorted(m for m in %r if m in sys.modules),
+                  "modules": sorted(m for m in sys.modules if m.split(".")[0] == "pmquad")}))
 """ % (KERNELS,)
 
 
@@ -84,3 +85,36 @@ def test_main_freezes_nothing(argv, capsys):
     before = gc.get_freeze_count()
     assert cli.main(argv) == 0
     assert gc.get_freeze_count() == before
+
+
+# every pmquad module a command's process loads; cli itself runs as __main__
+ALWAYS = {"pmquad", "pmquad.errors", "pmquad.specfun", "pmquad.table"}
+MONTE_CARLO = {"pmquad.harness", "pmquad.quadtree", "pmquad.geom"}
+LOADS = {
+    "constants": (["constants"], set()),
+    "moments": (["moments", "--max-order", "4"], {"pmquad.moments"}),
+    "second-moment": (WITH_KERNEL["second-moment"][0], {"pmquad.moments"}),
+    "profile-quad": (NO_KERNEL["profile-quad"], {"pmquad.quadtree", "pmquad.geom"}),
+    "profile-kd": (WITH_KERNEL["profile-kd"][0],
+                   {"pmquad.quadtree", "pmquad.geom", "pmquad.kdtree"}),
+    "simulate-limit-path": (WITH_KERNEL["simulate-limit"][0], {"pmquad.limitproc", "pmquad.geom"}),
+    "simulate-limit-replicated": (["simulate-limit", "--depth", "3", "--replications", "3"],
+                                  MONTE_CARLO | {"pmquad.limitproc"}),
+    "simulate-cost": (NO_KERNEL["simulate-cost-kd"], MONTE_CARLO),
+    "diagnostics": (["diagnostics", "--depth", "2", "--replications", "3", "--fill-n", "5"],
+                    MONTE_CARLO | {"pmquad.limitproc"}),
+    "supremum": (NO_KERNEL["supremum"], MONTE_CARLO),
+    "limit-moments": (WITH_KERNEL["limit-moments"][0],
+                      MONTE_CARLO | {"pmquad.limitproc", "pmquad.moments"}),
+}
+
+
+@pytest.mark.parametrize("argv, loads", LOADS.values(), ids=LOADS.keys())
+def test_entry_compiles_only_the_modules_a_command_runs(argv, loads):
+    got = _entry(argv)
+    assert (got["exit"], got["modules"]) == (0, sorted(ALWAYS | loads))
+
+
+def test_kind_choices_are_the_harness_kinds():
+    # --kind is parsed before the harness loads
+    assert cli._KINDS == tuple(sorted(harness.EXPERIMENT_KINDS))

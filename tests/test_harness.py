@@ -349,6 +349,28 @@ class TestRunExperiment:
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"invalid arguments: {err}\n")
 
+    @pytest.mark.parametrize("args, code, err", [
+        (["--kind", "limit-moments", "--depth", "-1"], 2,
+         "invalid arguments: depth must be >= 0, got -1"),
+        (["--kind", "poisson-mean", "--t", "nan"], 2,
+         "invalid arguments: intensity budget t must be finite, got nan"),
+        (["--kind", "poisson-mean", "--t", "-1"], 2,
+         "invalid arguments: intensity budget t must be >= 0, got -1.0"),
+        (["--kind", "coupling", "--t", "-1"], 2,
+         "invalid arguments: intensity budget t must be >= 0, got -1.0"),
+        (["--kind", "coupling", "--t", "1e300"], 3,
+         "cap exceeded: intensity budget t (1 + eps) = 1.1000000000000002e+300 exceeds 2**62; "
+         "trees are capped at 16777216 points"),
+    ], ids=["limit-moments-depth", "poisson-mean-t-nan", "poisson-mean-t-negative",
+            "coupling-t-negative", "coupling-t-eps-cap"])
+    def test_block_inputs_refused_before_any_block(self, monkeypatch, capsys, args, code, err):
+        # the messages the blocks' own checks give
+        from pmquad.cli import main
+
+        monkeypatch.setattr(harness, "run_blocks", lambda *a: pytest.fail("a block ran"))
+        assert main(["--threads", "2", "experiment", *args, "--replications", "600"]) == code
+        assert capsys.readouterr() == ("", f"{err}\n")
+
     @pytest.mark.parametrize("variant", ["KD", "", "2d"], ids=["KD", "empty", "2d"])
     def test_unknown_variant_refused_before_any_block(self, monkeypatch, variant):
         monkeypatch.setattr(harness, "run_blocks", lambda *a: pytest.fail("a block ran"))

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pmquad
-from pmquad import geom, kdtree, limitproc, quadtree
+from pmquad import geom, harness, kdtree, limitproc, quadtree, table
 
 MODULES = ["pmquad"] + [f"pmquad.{m.name}" for m in pkgutil.iter_modules(pmquad.__path__)]
 
@@ -51,6 +51,18 @@ def test_oracles_import_no_kernel():
     # may import nothing from the package but the exception types
     assert {"pmquad.errors", "pmquad.geom"} <= _package_imports(quadtree)  # the check sees imports
     assert _package_imports(geom) == {"pmquad.errors"}
+
+
+def test_table_imports_nothing_from_the_package():
+    # every command writes through it, so it must not load the Monte Carlo code
+    assert _package_imports(table) == set()
+
+
+@pytest.mark.parametrize("name", ["Table", "_fmt", "_emit", "emit_csv", "emit_plot_data",
+                                  "parse_csv"])
+def test_harness_reexports_the_table_names(name):
+    assert getattr(harness, name) is getattr(table, name)
+    assert name.startswith("_") or name in harness.__all__
 
 
 EXPORTED = [(m, name) for m in (quadtree, kdtree, limitproc) for name in m.__all__
@@ -96,6 +108,11 @@ def _fresh(code, **env):
 def test_importing_the_package_leaves_numpy_unloaded():
     # the CLI can only set BLAS threads before numpy loads if pmquad has not loaded it
     assert _fresh("import sys, pmquad; print('numpy' in sys.modules)") == "False"
+
+
+def test_importing_the_cli_loads_numpy():
+    # every command that does work needs it, so the CLI loads it up front
+    assert _fresh("import sys, pmquad.cli; print('numpy' in sys.modules)") == "True"
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
