@@ -10,7 +10,8 @@ harness's block scheduler (`harness.run_blocks`).  Each block returns a 2-d
 array, and the CLI forms its rows only as it writes them.  --threads N (N >= 1)
 runs the blocks on at most N processes, this one and forked children, and on
 no more than there are blocks or usable CPUs.  Output bytes do not depend on
-N.  --replications above 2**24 exits 3 before any block runs.
+N.  Every input is refused before any block runs, as are --replications
+above 2**24 (exit 3).
 
 `python -m pmquad.cli` and the `pmquad` script enter through `run`: it
 freezes the imported modules' objects (`gc.freeze`), so that no collection
@@ -41,7 +42,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import CapExceededError, _check_count
 from .specfun import constants
 from .table import Table, emit_csv, emit_plot_data
 
@@ -259,9 +260,14 @@ def _block_simulate_cost(args, lo, hi):
 
 def _cmd_simulate_cost(args) -> tuple:
     from . import quadtree
-    from .harness import _GENERATOR_NAME
+    from .harness import _GENERATOR_NAME, _check_replications
     if args.poisson is not None:
-        quadtree._check_budget(args.poisson)  # before any block runs
+        quadtree._check_budget(args.poisson)
+    _check_replications(args.replications)  # then a block's own checks, in its order
+    if args.s is not None:
+        quadtree._check_query(args.s)
+    if args.poisson is None:
+        quadtree._check_points(args.n)
     meta = {"seed": args.seed, "tree": args.tree, "generator": _GENERATOR_NAME}
     return _replicated(_block_simulate_cost, args, ["replication", "cost"], meta), []
 
@@ -280,13 +286,14 @@ def _cmd_profile(args) -> tuple:
 
 def _cmd_simulate_limit(args) -> tuple:
     from . import limitproc
-    from .geom import _check_query
-    _check_query(args.s)  # path mode does not read --s, but it is refused too
+    limitproc._check_query(args.s)  # path mode does not read --s, but it is refused too
     meta = {"seed": args.seed, "depth": args.depth}
     if args.replications is not None:
-        from .harness import _block_limit_moments
+        from .harness import _block_limit_moments, _check_replications
+        _check_replications(args.replications)  # then the block's own check
+        _check_count("depth", args.depth, limitproc._MAX_POINTWISE_DEPTH)
         return _replicated(_block_limit_moments, args, ["replication", "value"], meta), []
-    limitproc._check_path_grid(args.grid)  # before the grid is built
+    _check_count("grid size", args.grid, limitproc._MAX_PATH_GRID)  # before the grid is built
     grid = np.linspace(0.0, 1.0, args.grid)
     vals = limitproc.simulate_path(args.depth, grid, limitproc.env_seed(args.seed, 0),
                                    two_d=args.variant == "kd")
@@ -306,8 +313,12 @@ def _block_diagnostics(args, lo, hi):
 
 
 def _cmd_diagnostics(args) -> tuple:
+    from . import harness, limitproc, quadtree
+    harness._check_replications(args.replications)  # then a block's own checks, in its order
+    _check_count("depth", args.depth, limitproc._MAX_ENUM_DEPTH)
     columns = ["replication", "wn", "ln"]
     if args.fill_n is not None:
+        quadtree._check_points(args.fill_n)
         columns.append("fillup")
     return _replicated(_block_diagnostics, args, columns,
                        {"seed": args.seed, "depth": args.depth}), []

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a count's range check."""
 
 
 class CapExceededError(RuntimeError):
@@ -15,3 +15,11 @@ class AxisMismatchError(ValueError):
 
 class GridTooCoarseError(ValueError):
     """A grid operation was given fewer points than its accuracy contract needs."""
+
+
+def _check_count(name: str, n: int, cap: int, least: int = 0) -> None:
+    """Refuses a count ``name`` below ``least`` or above ``cap``."""
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    if n > cap:
+        raise CapExceededError(f"{name} {n} exceeds cap {cap}")

@@ -640,6 +640,13 @@ def _fork_share(fn, params, reps: int, first: int, stride: int) -> tuple:
         os._exit(status)
 
 
+def _check_replications(reps: int) -> None:
+    if reps < 1:
+        raise ValueError("replications must be >= 1")
+    if reps > _MAX_REPLICATIONS:
+        raise CapExceededError(f"{reps} replications exceed the cap of {_MAX_REPLICATIONS}")
+
+
 def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
     """[fn(params, lo, hi) for each block [lo, hi) of range(reps)], in index
     order.  Only the parts ``fn`` returns are pickled, never ``fn`` itself.
@@ -654,10 +661,7 @@ def run_blocks(fn, params, reps: int, threads: int = 1) -> list:
     blocks run in-process.  More than ``_MAX_REPLICATIONS`` raise
     CapExceededError before any block runs.
     """
-    if reps < 1:
-        raise ValueError("replications must be >= 1")
-    if reps > _MAX_REPLICATIONS:
-        raise CapExceededError(f"{reps} replications exceed the cap of {_MAX_REPLICATIONS}")
+    _check_replications(reps)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     blocks = -(-reps // _BLOCK)
     workers = min(threads, blocks, cpus or 1) if hasattr(os, "fork") else 1

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import CapExceededError
+from .errors import _check_count
 from .geom import _check_query, fill_up_level
 from .specfun import beta_exponent
 
@@ -166,17 +166,20 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-# Layout of the crossing-box expansion.  The boxes of one level are an
-# (m, D, H) array of m independent rows in halves order: the bottom and top
-# children of the box in column c sit in columns c and c + D*H of the next
-# level, so a row's leaves are its paths with the first split in the lowest
-# bit.  Siblings share their relative position u, which is stored once,
-# shaped (m, 1, H).  Folding a row by halves adds sibling subtrees exactly as
-# the pairwise fold of the breadth-first order does, so every sum has the same
-# bits.  The rows are environments or query positions: a whole chunk at the
-# top levels, and a slice of its rows at the bottom levels, which continue
-# from those rows' boxes as if they had been expanded alone.  Past the split
-# level of a deep expansion each row is one subtree root instead.
+# Layout of the crossing-box expansion.  A box computes only the branch the
+# line takes, left or right of its label U; its two children there split at V
+# (2-d variant: V on the left, W on the right, the one label hashed).  The
+# boxes of one level are an (m, D, H) array of m independent rows in halves
+# order: the bottom and top children of the box in column c sit in columns c
+# and c + D*H of the next level, so a row's leaves are its paths with the
+# first split in the lowest bit.  Siblings share their relative position u,
+# which is stored once, shaped (m, 1, H).  Folding a row by halves adds
+# sibling subtrees exactly as the pairwise fold of the breadth-first order
+# does, so every sum has the same bits.  The rows are environments or query
+# positions: a whole chunk at the top levels, and a slice of its rows at the
+# bottom levels, which continue from those rows' boxes as if they had been
+# expanded alone.  Past the split level of a deep expansion each row is one
+# subtree root instead.
 #
 # Every box array below the roots lives in a _Workspace.  A level's outputs
 # go to the buffers of one slot and its parent's sit in another, so the
@@ -188,6 +191,10 @@ def _children(state, log_area, u, two_d: bool, ws: _Workspace, slot):
     """Split each box at its labels: the children's log-areas (m, 2, D*H),
     their relative position (m, 1, D*H) and the left-branch mask (m, D, H).
 
+    A box computes only the branch the line takes, r = 1 right (u >= U) or 0
+    left: width |r - U|, position (u - r U) / width, and in the 2-d variant
+    one horizontal label, of family 2 - left (V on the left, W on the right).
+
     The results are views of ``ws``: the two outputs in the buffers of
     ``slot``, the mask and the scratch in buffers that every call overwrites.
     Each element takes the operations it would take in fresh arrays, so
@@ -196,28 +203,16 @@ def _children(state, log_area, u, two_d: bool, ws: _Workspace, slot):
     z = ws.take("z", shape, np.uint64)
     t = ws.take("t", shape, np.uint64)
     U = _label_uniforms(state, 0, z, t, ws.take("U", shape))
-    h_bottom = _label_uniforms(state, 1, z, t, ws.take("h", shape))
     left = np.less(u, U, out=ws.take("left", shape, np.bool_))
-    # branch selection by blending, exact for finite values: x * 1 + y * 0 == x
-    take_left = ws.take("take_left", shape)
-    np.copyto(take_left, left)
-    take_right = np.subtract(1.0, take_left, out=ws.take("take_right", shape))
+    r = np.logical_not(left, out=ws.take("r", shape))
     if two_d:
-        W = _label_uniforms(state, 2, z, t, ws.take("W", shape))
-        h_bottom *= take_left
-        W *= take_right
-        h_bottom += W
-    # the hash scratch is free now: width and u_left reuse its memory
-    width = np.subtract(1.0, U, out=t.view(np.float64))
-    u_next = np.subtract(u, U, out=ws.take(("u", slot), shape))
+        state = np.subtract(state, np.multiply(left, np.uint64(_GOLDEN), out=z), out=z)
+    h_bottom = _label_uniforms(state, 1 + two_d, z, t, ws.take("h", shape))
+    # the hash scratch is free now: r U reuses its memory
+    u_next = np.subtract(u, np.multiply(r, U, out=t.view(np.float64)),
+                         out=ws.take(("u", slot), shape))
+    width = np.abs(np.subtract(r, U, out=r), out=r)
     u_next /= width
-    u_next *= take_right
-    u_left = np.divide(u, U, out=z.view(np.float64))
-    u_left *= take_left
-    u_next += u_left
-    width *= take_right
-    U *= take_left
-    width += U
     la = ws.take(("la", slot), (m, 2, d, w))
     np.multiply(width, h_bottom, out=la[:, 0])
     np.subtract(1.0, h_bottom, out=la[:, 1])
@@ -229,19 +224,16 @@ def _children(state, log_area, u, two_d: bool, ws: _Workspace, slot):
 
 def _descend(state, log_area, u, seed_off, levels: int, two_d: bool, ws: _Workspace, slots):
     """The boxes ``levels`` levels further down, level i written to the
-    workspace slot slots[i % 2].  ``seed_off`` (m, 1) is -3 seed mod 2^64:
-    a child's counter state is 4 state - 3 seed + digit G3, with digit its
-    last base-4 address digit."""
+    workspace slot slots[i % 2].  ``seed_off`` (m, 1) is 2 G3 - 3 seed mod
+    2^64, so a bottom child's counter state is 4 state + seed_off - 2 G3 left."""
     for level in range(levels):
         m = state.shape[0]
         slot = slots[level % 2]
         log_area, u_next, left = _children(state, log_area, u, two_d, ws, slot)
         nxt = ws.take(("state", slot), log_area.shape, np.uint64)
-        bottom = nxt[:, 0]
-        np.multiply(state.reshape(m, -1), np.uint64(4), out=bottom)
+        bottom = np.multiply(state.reshape(m, -1), np.uint64(4), out=nxt[:, 0])
         bottom += seed_off
-        right = np.invert(left, out=left).reshape(m, -1)
-        bottom += np.multiply(right, np.uint64(_TWO_GOLDEN3),
+        bottom -= np.multiply(left.reshape(m, -1), np.uint64(_TWO_GOLDEN3),
                               out=ws.take("z", bottom.shape, np.uint64))
         np.add(bottom, np.uint64(_GOLDEN3), out=nxt[:, 1])
         state, u = nxt, u_next
@@ -263,7 +255,7 @@ def _roots(s, seeds: np.ndarray):
     m = seeds.shape[0]
     return (seeds + np.uint64(_GOLDEN3), np.zeros((m, 1, 1)),
             np.array(s, dtype=float).reshape(m, 1, 1),
-            seeds.reshape(m, 1) * np.uint64(_M64 - 2))
+            seeds.reshape(m, 1) * np.uint64(_M64 - 2) + np.uint64(_TWO_GOLDEN3))
 
 
 def _pairwise_fold(a: np.ndarray) -> np.ndarray:
@@ -293,10 +285,7 @@ def _box_sums(log_area, u, ws: _Workspace) -> np.ndarray:
 
 def _check_depth_query(n: int, s) -> float | np.ndarray:
     s = _check_query(s)
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if n > _MAX_POINTWISE_DEPTH:
-        raise CapExceededError(f"depth {n} exceeds cap {_MAX_POINTWISE_DEPTH}")
+    _check_count("depth", n, _MAX_POINTWISE_DEPTH)
     return s
 
 
@@ -378,20 +367,13 @@ def crossing_boxes(n: int, s: float, seed: int, two_d: bool = False):
     return np.exp(log_area.reshape(-1)[order]), u.reshape(-1)[order]
 
 
-def _check_path_grid(size: int) -> None:
-    if size < 0:
-        raise ValueError(f"grid size must be >= 0, got {size}")
-    if size > _MAX_PATH_GRID:
-        raise CapExceededError(f"grid size {size} exceeds cap {_MAX_PATH_GRID}")
-
-
 def simulate_path(n: int, grid, seed: int, two_d: bool = False):
     """Z_n on a grid of query positions in the environment of ``seed``; ``two_d``
     gives the 2-d tree variant (independent vertical labels per side).  The
     grid points run as the rows of one batched expansion, and a one-point
     grid gives the same value at that point, bit for bit."""
     grid = np.asarray(grid, dtype=float).reshape(-1)
-    _check_path_grid(grid.size)
+    _check_count("grid size", grid.size, _MAX_PATH_GRID)
     seeds = np.full(grid.size, seed & _M64, dtype=np.uint64)
     return _crossing_sums(n, grid, seeds, two_d)
 
@@ -417,10 +399,7 @@ def _diagnostics(n: int, seeds: np.ndarray):
     has more).  Level n itself is not built: its widths are the two parts of
     each level n-1 box.
     """
-    if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
-    if n > _MAX_ENUM_DEPTH:
-        raise CapExceededError(f"depth {n} exceeds cap {_MAX_ENUM_DEPTH}")
+    _check_count("depth", n, _MAX_ENUM_DEPTH)
     wn = np.ones(seeds.shape[0])
     ln = np.empty(seeds.shape[0])
     rows = max(1, _BOX_BUDGET >> 2 * n)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, GridTooCoarseError
+from .errors import CapExceededError, GridTooCoarseError, _check_count
 from .specfun import beta_exponent, beta_fn
 
 __all__ = [
@@ -43,7 +43,7 @@ _MIN_GRID = 64
 _MAX_ITER = 30
 _K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
 # Grid points apply_K accepts: a row has up to G <= _K_BLOCK breakpoints; work
-# grows as G^2 (11-13 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon).
+# grows as G^2 (about 7 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon).
 _MAX_GRID = 1 << 14
 # Bytes of one grid's geometry blocks kept (see _kept_geometry): 16 full blocks
 # at 20 B per breakpoint, about 21 MB, which holds every block of a grid of up
@@ -105,10 +105,7 @@ def psi_moments(max_order: int) -> MomentTable:
     c_m = (b m + 1) / ((m-1)(m+1 - 1.5 b m))
           * sum_{l=1}^{m-1} C(m,l) B(b l + 1, b (m-l) + 1) c_l c_{m-l}.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if max_order > _MAX_ORDER:
-        raise CapExceededError(f"max_order {max_order} exceeds cap {_MAX_ORDER}")
+    _check_count("max_order", max_order, _MAX_ORDER, least=1)
     b = beta_exponent()
     c = [1.0, 1.0]  # c[l] = c_l with c_0 = 1
     logc = [0.0, 0.0]
@@ -338,10 +335,7 @@ def second_moment_iterates(n: int, grid) -> GridFunction:
     """K^n applied to h^2 on ``grid`` (a ``make_grid`` array): the exact
     second moment of the level-n approximant.  The grid size is capped for
     any n."""
-    if n < 0:
-        raise ValueError(f"iteration count must be >= 0, got {n}")
-    if n > _MAX_ITER:
-        raise CapExceededError(f"iteration count {n} exceeds cap {_MAX_ITER}")
+    _check_count("iteration count", n, _MAX_ITER)
     grid = np.asarray(grid, dtype=float)
     _check_grid(grid.size)
     b = beta_exponent()

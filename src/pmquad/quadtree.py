@@ -70,13 +70,17 @@ __all__ = [
 _MAX_POINTS = 1 << 24
 
 
-def sample_uniform_xy(n: int, rng) -> tuple:
-    """n i.i.d. uniform coordinates as (xs, ys) arrays; cheap form of sampling.
-    Raises CapExceededError above ``_MAX_POINTS``, before allocating."""
+def _check_points(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > _MAX_POINTS:
         raise CapExceededError(f"{n} points exceed the cap of {_MAX_POINTS} per tree")
+
+
+def sample_uniform_xy(n: int, rng) -> tuple:
+    """n i.i.d. uniform coordinates as (xs, ys) arrays; cheap form of sampling.
+    Raises CapExceededError above ``_MAX_POINTS``, before allocating."""
+    _check_points(n)
     return rng.random(n), rng.random(n)
 
 

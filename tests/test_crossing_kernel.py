@@ -258,6 +258,45 @@ class TestSingleEnvironment:
                     assert np.array_equal(rel, u[0])
 
 
+def _tie_queries(seed: int) -> list:
+    """Query positions where a crossing box's relative position equals its
+    vertical label U exactly, so the box takes the right branch at
+    u - U = +0.0: the root's U, and a split of each depth-1 box on the line
+    x = U0 that reaches its label U1 exactly (left: s / U0, right:
+    (s - U0) / (1 - U0))."""
+    u0 = labels_at(seed, ())[0]
+    queries = [u0]
+    for digit in (1, 3):  # the bottom children of the root's two branches
+        u1 = labels_at(seed, (digit,))[0]
+        s = u0 * u1 if digit == 1 else u0 + (1.0 - u0) * u1
+        if (s / u0 if digit == 1 else (s - u0) / (1.0 - u0)) == u1:
+            queries.append(s)
+    return queries
+
+
+class TestTieQueries:
+    # environment 2 of master seed 4242 has an exact depth-2 tie on either side
+    SEED = env_seed(4242, 2)
+
+    def test_both_depth_two_splits_tie(self):
+        assert len(_tie_queries(self.SEED)) == 3
+
+    @pytest.mark.parametrize("two_d", [False, True], ids=["quad", "kd"])
+    def test_against_the_reference(self, two_d):
+        seeds = np.array([self.SEED], dtype=np.uint64)
+        for s in _tie_queries(self.SEED):
+            for depth in (0, 1, 2, 3, 8):
+                la, u = reference_expand(depth, s, seeds, two_d, return_boxes=True)
+                areas, rel = crossing_boxes(depth, s, self.SEED, two_d)
+                assert np.array_equal(areas, np.exp(la[0])) and np.array_equal(rel, u[0])
+                want = reference_many(depth, s, 4242, 3, two_d, start=2)
+                assert np.array_equal(simulate_many(depth, s, 4242, 3, two_d, start=2), want)
+            for depth in (2, 12):
+                grid = [s, 0.5, s]
+                want = [reference_point(depth, x, self.SEED, two_d) for x in grid]
+                assert np.array_equal(simulate_path(depth, grid, self.SEED, two_d), want)
+
+
 def _chunking(budget):
     """(top level t, rows per chunk, log2 budget) of the expansion under
     ``budget``: a chunk's boxes at level t fill one budget."""

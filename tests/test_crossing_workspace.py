@@ -286,7 +286,9 @@ def test_crossing_boxes(depth, two_d):
     (("simulate-limit", "--depth", "12", "--grid", "1024"), 15_000),
     (("experiment", "--kind", "limit-moments", "--depth", "14", "--s", "0.4",
       "--replications", "256"), 25_000),
-], ids=["path", "limit-moments"])
+    (("experiment", "--kind", "limit-moments", "--depth", "14", "--s", "0.4",
+      "--replications", "256", "--variant", "kd"), 25_000),
+], ids=["path", "limit-moments", "limit-moments-kd"])
 def test_expansion_jobs_fault_in_their_memory_once(job, bound):
     # fresh temporaries at every level and batch took about 30k (path) and
     # 50k (limit-moments) faults over an import-only child; one workspace per
