@@ -43,7 +43,8 @@ _MIN_GRID = 64
 _MAX_ITER = 30
 _K_BLOCK = 1 << 16  # breakpoints per block of apply_K rows (cache-sized)
 # Grid points apply_K accepts: a row has up to G <= _K_BLOCK breakpoints; work
-# grows as G^2 (about 7 s and < 64 MiB RSS per call at the cap, 2-vCPU Xeon).
+# grows as G^2 (about 4-7 s, 56 MiB RSS and 12k page faults per call at the
+# cap, 2-vCPU Xeon).
 _MAX_GRID = 1 << 14
 # Bytes of one grid's geometry blocks kept (see _kept_geometry): 16 full blocks
 # at 20 B per breakpoint, about 21 MB, which holds every block of a grid of up
@@ -182,7 +183,12 @@ def make_grid(n: int = 512, graded: bool = False, extra=()) -> np.ndarray:
     else:
         g = t
     if len(extra):
-        g = np.unique(np.concatenate([g, np.asarray(extra, dtype=float)]))
+        # np.unique's sorted path, without the numpy.ma import it makes: the
+        # first of each run of equal values, and one NaN for all
+        g = np.sort(np.concatenate([g, np.asarray(extra, dtype=float)]))
+        keep = np.ones(g.size, dtype=bool)
+        keep[1:] = (g[1:] != g[:-1]) & ~np.isnan(g[:-1])
+        g = g[keep]
     return g
 
 
@@ -191,8 +197,10 @@ class _KGeometry(NamedTuple):
 
     Per breakpoint it keeps only what is costly to rebuild: the grid index
     and the two power differences, which each take a ``pow`` pass (20 B in
-    all).  The breakpoints, their spacing and the segment sigmas are one
-    gather, ``diff`` or ``repeat`` each, and _edge_integrals rebuilds them.
+    all, col as int32, when the block is kept).  _edge_integrals needs no
+    breakpoint values: a segment between two grid points takes its slope
+    and intercept from the grid cell in ``col``, and only each row's head
+    segment, which starts at sigma, is formed on its own.
     """
 
     low: np.ndarray  # rows with sigma <= 0
@@ -201,12 +209,30 @@ class _KGeometry(NamedTuple):
     counts: np.ndarray  # their breakpoint counts
     heads: np.ndarray  # where each starts among the breakpoints: at sigma
     rows: list  # slice of each inner row's segments
-    col: np.ndarray  # int32 grid index of every breakpoint (a head's is overwritten)
+    col: np.ndarray  # grid index of every breakpoint (a head's is the cell holding sigma)
     d1: np.ndarray  # per segment: x^(2b+1) at the upper x minus at the lower x
     d0: np.ndarray  # and the same for x^(2b)
 
 
-def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
+# float64 slots of a block's breakpoint count in a scratch (see _scratch) that
+# _k_geometry's transients take, and then _edge_integrals' temporaries
+_SLOTS = 3
+
+
+def _scratch(n: int, step: int, slots: int) -> np.ndarray:
+    """A scratch array of ``slots`` slots for blocks of ``step`` rows on a
+    grid of n points, where a row has at most n breakpoints."""
+    return np.empty(slots * min(step, 2 * n) * n)
+
+
+def _slots(scratch: np.ndarray, size: int, first: int = 0) -> list:
+    """The _SLOTS consecutive slots of ``size`` elements of a scratch, from
+    slot ``first`` on."""
+    return [scratch[k * size:(k + 1) * size] for k in range(first, first + _SLOTS)]
+
+
+def _k_geometry(grid_bytes: bytes, lo: int, hi: int, scratch=None,
+                keep: bool = True) -> _KGeometry:
     """The part of apply_K's exact product integration that f does not enter,
     for the edge integrals lo .. hi-1 on one grid.
 
@@ -218,42 +244,52 @@ def _k_geometry(grid_bytes: bytes, lo: int, hi: int) -> _KGeometry:
     are concatenated, and the powers of x = sigma/u are taken once per
     breakpoint, since each segment's lower x is the next one's upper x.  The
     pairs that straddle two rows are computed too but summed into neither.
-    _edge_integrals rebuilds the breakpoints with the same _breakpoints
-    call and the segment sigmas with the same ``repeat``, so every segment
-    term has the bits it would have if they were cached.
+
+    The transients are written into the first slots of ``scratch`` (see
+    _scratch; the block gets one of its own without it).  A kept block's
+    col (int32, which halves it), d1 and d0 are read-only arrays of their
+    own; otherwise they are views of the scratch's next slots, valid until
+    its next block.
     """
     b = beta_exponent()
     grid = np.frombuffer(grid_bytes)
-    sigma = np.concatenate((grid, 1.0 - grid))[lo:hi]
+    n = grid.size
+    sigma = np.concatenate((grid[lo:hi], 1.0 - grid[max(lo - n, 0):max(hi - n, 0)]))
     inner = np.flatnonzero((sigma > 0.0) & (sigma < 1.0))
-    first = np.searchsorted(grid, sigma[inner], side="right")
-    counts = grid.size - first + 1
+    sig = sigma[inner]
+    first = np.searchsorted(grid, sig, side="right")
+    counts = n - first + 1
     ends = np.cumsum(counts)
     heads = ends - counts
-    # int32 halves col; np.take gathers with it as fast as with intp (indexing does not)
-    col = (np.arange(counts.sum()) + np.repeat(first - 1 - heads, counts)).astype(np.int32)
-    us = _breakpoints(grid, col, heads, sigma[inner])
-    x = np.repeat(sigma[inner], counts)
+    size = int(ends[-1]) if ends.size else 0
+    p0, us, x = _slots(np.empty(_SLOTS * size) if scratch is None else scratch, size)
+    if keep:
+        col, d1, d0 = np.empty(size, dtype=np.int32), None, None
+    else:  # intp, which np.take gathers with without a converted copy
+        d1, d0, col = _slots(scratch, size, _SLOTS)
+        col, d1, d0 = col.view(np.int64), d1[:size - 1], d0[:size - 1]
+    # int32 keeps this below glibc's mmap threshold (128 KiB) at the grid cap
+    cell = np.arange(n, dtype=np.int32)
+    # a row's breakpoints: sigma in the cell holding it, then the grid points above
+    for a, c, f, s in zip(heads.tolist(), counts.tolist(), first.tolist(), sig.tolist()):
+        col[a:a + c] = cell[f - 1:]
+        us[a:a + c] = grid[f - 1:]
+        x[a:a + c] = s
+    us[heads] = sig
     x /= us
-    p1 = x ** (2.0 * b + 1.0)
-    p0 = x ** (2.0 * b)
+    p1 = np.power(x, 2.0 * b + 1.0, out=us)
+    np.power(x, 2.0 * b, out=p0)
     geometry = _KGeometry(
-        low=np.flatnonzero(sigma <= 0.0), inner=inner, sigma=sigma[inner], counts=counts,
+        low=np.flatnonzero(sigma <= 0.0), inner=inner, sigma=sig, counts=counts,
         heads=heads, rows=[slice(a, e - 1) for a, e in zip(heads.tolist(), ends.tolist())],
-        col=col, d1=p1[:-1] - p1[1:], d0=p0[:-1] - p0[1:],
+        col=col, d1=np.subtract(p1[:-1], p1[1:], out=d1),
+        d0=np.subtract(p0[:-1], p0[1:], out=d0),
     )
-    for v in geometry:
-        if isinstance(v, np.ndarray):
-            v.setflags(write=False)
+    if keep:
+        for v in geometry:
+            if isinstance(v, np.ndarray):
+                v.setflags(write=False)
     return geometry
-
-
-def _breakpoints(grid, col, heads, sigma) -> np.ndarray:
-    """All u-breakpoints of a block, row after row: each row's sigma, then
-    the grid points above it."""
-    us = np.take(grid, col)
-    us[heads] = sigma
-    return us
 
 
 @functools.lru_cache(maxsize=1)
@@ -264,11 +300,13 @@ def _kept_geometry(grid_bytes: bytes, step: int) -> tuple:
     Iterating K applies it to one grid again and again, and each call walks
     the blocks in the same order, so the calls after the first reuse the
     blocks kept here and rebuild only the rest.  Only the last grid and
-    block layout asked for is kept."""
-    rows = 2 * np.frombuffer(grid_bytes).size
+    block layout asked for is kept.  One scratch takes the transients of
+    the whole build, so they leave no holes between the kept blocks."""
+    n = np.frombuffer(grid_bytes).size
+    scratch = _scratch(n, step, _SLOTS)
     kept, held = [], 0
-    for lo in range(0, rows, step):
-        geo = _k_geometry(grid_bytes, lo, min(lo + step, rows))
+    for lo in range(0, 2 * n, step):
+        geo = _k_geometry(grid_bytes, lo, min(lo + step, 2 * n), scratch)
         held += sum(v.nbytes for v in geo if isinstance(v, np.ndarray))
         if held > _K_CACHE_BYTES:
             break
@@ -276,22 +314,37 @@ def _kept_geometry(grid_bytes: bytes, step: int) -> tuple:
     return tuple(kept)
 
 
-def _edge_integrals(geo: _KGeometry, n_rows: int, grid, vals, b: float) -> np.ndarray:
+def _edge_integrals(geo: _KGeometry, n_rows: int, cells, grid, vals, b: float,
+                    scratch=None) -> np.ndarray:
     """The edge integrals of one block of rows, for the piecewise-linear f
-    with these grid values; each row's terms are summed in the row's order."""
-    us = _breakpoints(grid, geo.col, geo.heads, geo.sigma)
-    fv = np.take(vals, geo.col)  # interpolation at a grid point returns its value
-    fv[geo.heads] = np.interp(geo.sigma, grid, vals)
-    fa, fb = fv[:-1], fv[1:]
-    # in place where the cached form made temporaries, so rebuilding u costs no time
-    slope = fb - fa
-    seg = us[1:] - us[:-1]
-    slope /= seg
-    np.multiply(slope, us[:-1], out=seg)
-    np.subtract(fa, seg, out=seg)  # a0
+    with these grid values; each row's terms are summed in the row's order.
+
+    ``cells`` holds the slope and intercept a0 of f on every grid cell
+    (see apply_K), which every segment between two grid points shares with
+    its cell; each row's head segment, from sigma to the next grid point,
+    is formed here with the same ufuncs.  The temporaries are written into
+    the first slots of ``scratch`` when one is given (a rebuilt block, whose
+    geometry fills the next ones) and allocated otherwise."""
+    size = geo.col.size
+    if scratch is None:
+        t = np.repeat(geo.sigma, geo.counts)[:-1]
+        slope = np.take(cells[0], geo.col[:-1])
+        seg = np.take(cells[1], geo.col[:-1])
+    else:
+        t, seg, slope = (v[:size - 1] for v in _slots(scratch, size))
+        for a, c, s in zip(geo.heads.tolist(), geo.counts.tolist(), geo.sigma.tolist()):
+            t[a:a + c] = s  # np.repeat(geo.sigma, geo.counts)[:-1]
+        # no index is clipped; "clip" writes into out, where "raise" buffers it
+        slope = np.take(cells[0], geo.col[:-1], out=slope, mode="clip")
+        seg = np.take(cells[1], geo.col[:-1], out=seg, mode="clip")
+    fa = np.interp(geo.sigma, grid, vals)
+    nxt = geo.col[geo.heads + 1]
+    head = vals[nxt] - fa
+    head /= grid[nxt] - geo.sigma
+    slope[geo.heads] = head
+    seg[geo.heads] = fa - head * geo.sigma  # a0
     seg *= geo.d1
     seg /= 2.0 * b + 1.0
-    t = np.repeat(geo.sigma, geo.counts)[:-1]
     t *= slope
     t *= geo.d0
     t /= 2.0 * b
@@ -318,14 +371,23 @@ def apply_K(f: GridFunction) -> GridFunction:
     grid, vals = f.grid, f.values
     key = grid.tobytes()
     n = grid.size
+    # slope and intercept of f on each cell, padded for the last breakpoint of a row
+    slope = np.zeros(n)
+    np.divide(np.diff(vals), np.diff(grid), out=slope[:-1])
+    cells = (slope, vals - slope * grid)
     edge = np.empty(2 * n)
     step = max(1, _K_BLOCK // n)
     kept = _kept_geometry(key, step)
+    # one scratch for the blocks past the kept prefix, which are rebuilt here:
+    # their transients, then their geometry
+    scratch = _scratch(n, step, 2 * _SLOTS) if len(kept) * step < 2 * n else None
     for i, lo in enumerate(range(0, 2 * n, step)):
         hi = min(lo + step, 2 * n)
-        # no name holds a rebuilt block while the next one is built
-        edge[lo:hi] = _edge_integrals(kept[i] if i < len(kept) else _k_geometry(key, lo, hi),
-                                      hi - lo, grid, vals, b)
+        if i < len(kept):
+            edge[lo:hi] = _edge_integrals(kept[i], hi - lo, cells, grid, vals, b)
+        else:
+            geo = _k_geometry(key, lo, hi, scratch, keep=False)
+            edge[lo:hi] = _edge_integrals(geo, hi - lo, cells, grid, vals, b, scratch)
     inhom = 2.0 * beta_fn(b + 1.0, b + 1.0) / (b + 1.0) * (grid * (1.0 - grid)) ** b
     scale = 2.0 / (2.0 * b + 1.0)
     return GridFunction(grid=grid, values=scale * (edge[:n] + edge[n:]) + inhom)

@@ -519,9 +519,9 @@ class TestGeometryCache:
         """The (lo, hi) of every block _k_geometry builds, on an empty cache."""
         calls, build = [], moments._k_geometry
 
-        def spy(grid_bytes, lo, hi):
+        def spy(grid_bytes, lo, hi, *args, **kwargs):
             calls.append((lo, hi))
-            return build(grid_bytes, lo, hi)
+            return build(grid_bytes, lo, hi, *args, **kwargs)
 
         monkeypatch.setattr(moments, "_k_geometry", spy)
         moments._kept_geometry.cache_clear()
@@ -574,3 +574,53 @@ class TestGeometryCache:
             assert builds == self._blocks(grid)
             assert np.array_equal(got, _reference_iterates(2, grid))
         assert moments._kept_geometry.cache_info()[:2] == (3, 3)
+
+
+def _mirrored_grid():
+    """A grid whose extra points are 1 - g[i] for grid points g[i], so that
+    those mirror rows' sigma falls exactly on a grid point."""
+    g = make_grid(200)
+    return make_grid(200, extra=1.0 - g[[3, 50, 101, 123, 190]])
+
+
+@pytest.mark.parametrize("grid", [make_grid(512, extra=(0.4,)), make_grid(1000, graded=True),
+                                  make_grid(62), _mirrored_grid()],
+                         ids=["limit-moments", "graded-1000", "minimum", "mirrored"])
+class TestApplyKAgainstTheLoop:
+    """apply_K's kept blocks, its rebuilt blocks (under an empty geometry
+    budget) and small blocks all give the per-grid-point loop's bits."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        moments._kept_geometry.cache_clear()
+        yield
+        moments._kept_geometry.cache_clear()  # no prefix kept under a patched budget
+
+    @staticmethod
+    def _f(grid):
+        return GridFunction(grid=grid, values=np.random.default_rng(33).random(grid.size))
+
+    def test_kept_blocks(self, grid):
+        f = self._f(grid)
+        want = reference_apply_k(f).values
+        assert np.array_equal(apply_K(f).values, want)
+        assert np.array_equal(apply_K(f).values, want)  # from the kept geometry
+
+    def test_rebuilt_blocks(self, grid, monkeypatch):
+        monkeypatch.setattr(moments, "_K_CACHE_BYTES", 0)
+        f = self._f(grid)
+        assert moments._kept_geometry(grid.tobytes(), moments._K_BLOCK // grid.size) == ()
+        assert np.array_equal(apply_K(f).values, reference_apply_k(f).values)
+
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_small_blocks(self, grid, budget, monkeypatch):
+        monkeypatch.setattr(moments, "_K_BLOCK", 5 * grid.size)
+        if budget is not None:
+            monkeypatch.setattr(moments, "_K_CACHE_BYTES", budget)
+        f = self._f(grid)
+        assert np.array_equal(apply_K(f).values, reference_apply_k(f).values)
+
+
+def test_mirrored_grid_puts_sigma_on_grid_points():
+    grid = _mirrored_grid()
+    assert np.isin(1.0 - grid, grid).sum() >= 2 + 5  # the two ends and the mirrors

@@ -25,7 +25,7 @@ try:
     code = "returned"
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"exit": code, "frozen": gc.get_freeze_count(),
+print(json.dumps({"exit": code, "frozen": gc.get_freeze_count(), "masked": "numpy.ma" in sys.modules,
                   "kernels": sorted(m for m in %r if m in sys.modules),
                   "modules": sorted(m for m in sys.modules if m.split(".")[0] == "pmquad")}))
 """ % (KERNELS,)
@@ -77,6 +77,13 @@ def test_entry_loads_the_kernels_a_command_runs(argv, kernels):
     got = _entry(argv)
     assert (got["exit"], got["kernels"]) == (0, kernels)
     assert got["frozen"] > 0
+
+
+def test_limit_moments_loads_no_masked_arrays():
+    # np.unique imports numpy.ma (numpy 2.4), which nothing else in the job
+    # uses, so make_grid de-duplicates its extra points without it
+    got = _entry(WITH_KERNEL["limit-moments"][0])
+    assert (got["exit"], got["masked"]) == (0, False)
 
 
 @pytest.mark.parametrize("argv", [["constants"], NO_KERNEL["simulate-cost-kd"]],
